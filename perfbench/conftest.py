@@ -1,0 +1,6 @@
+"""Benchmark tests import the package from the checkout's src/ directory."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
