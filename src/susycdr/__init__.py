@@ -5,14 +5,12 @@ problems, plus the numerical oracles that certify them."""
 from .cdr import (CaseTag, CdrSystem, FieldForm, build_case_a, build_case_b,
                   build_fpe, eval_fields, swap)
 from .mathfn import (QuadratureError, QuadratureSpec, fd_derivative,
-                     gaussian_tail_cutoff, integrate, laguerre, laguerre_deriv,
-                     log_gamma)
+                     gaussian_tail_cutoff, integrate, laguerre, laguerre_deriv)
 from .quantum import (DEFAULT_X_MIN, Eigenstate, OscillatorParams,
-                      RadialOscillatorFamily, ShapeInvariantFamily,
-                      base_potential, chain_energy, chain_potential,
-                      darboux_partner, darboux_state, eigenfunction)
-from .similarity import (ScalingExponents, SimilarityFrame, exponents_for_class,
-                         lift_field, to_similarity)
+                      RadialOscillatorFamily, base_potential, darboux_partner,
+                      darboux_state)
+from .similarity import (ScalingExponents, exponents_for_class, lift_field,
+                         to_similarity)
 from .verify import (EvolveReport, GridSpec, ResidualReport, evolve_oracle,
                      node_count, ode_residual, orthonormality_matrix,
                      pde_residual, positive_diffusion_x_max,

@@ -1,30 +1,6 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
-
-Set ``SUSYCDR_DISABLE_NUMBA=1`` to force the pure-numpy fallback path
-(useful on platforms without a working numba, and for benchmarking the
-JIT speedup; see ``benchmarks/bench_kernels.py``).
-
-Every kernel exists in two flavours:
-
-* ``<name>_py`` -- the plain numpy implementation, always importable;
-* ``<name>``    -- the dispatched version: an ``@njit`` loop kernel when
-  numba is enabled, otherwise an alias of ``<name>_py``.
-
-Both flavours compute identical values (checked in tests).
-"""
-
-import os
+"""Hot numeric kernels: plain numpy, one implementation each."""
 
 import numpy as np
-
-NUMBA_ENABLED = False
-if os.environ.get("SUSYCDR_DISABLE_NUMBA", "0") != "1":
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +8,7 @@ if os.environ.get("SUSYCDR_DISABLE_NUMBA", "0") != "1":
 # Stable for the moderate degrees (n <= ~10) used throughout.
 # ---------------------------------------------------------------------------
 
-def laguerre_values_py(n, a, y):
+def laguerre_values(n, a, y):
     """L_n^a evaluated on the 1-d float array ``y`` (vectorized recurrence)."""
     y = np.asarray(y, dtype=np.float64)
     prev = np.ones_like(y)
@@ -44,29 +20,12 @@ def laguerre_values_py(n, a, y):
     return cur
 
 
-def _laguerre_values_loop(n, a, y):
-    out = np.empty_like(y)
-    for j in range(y.shape[0]):
-        yj = y[j]
-        prev = 1.0
-        if n == 0:
-            out[j] = 1.0
-            continue
-        cur = 1.0 + a - yj
-        for k in range(2, n + 1):
-            nxt = ((2.0 * k - 1.0 + a - yj) * cur - (k - 1.0 + a) * prev) / k
-            prev = cur
-            cur = nxt
-        out[j] = cur
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Tridiagonal (Thomas) solve. Rows: diag[i]*x[i] + upper[i]*x[i+1]
 # + lower[i]*x[i-1] = rhs[i], with lower[0] and upper[-1] ignored.
 # ---------------------------------------------------------------------------
 
-def thomas_solve_py(lower, diag, upper, rhs):
+def thomas_solve(lower, diag, upper, rhs):
     n = diag.shape[0]
     cp = np.empty(n)
     dp = np.empty(n)
@@ -90,7 +49,7 @@ def thomas_solve_py(lower, diag, upper, rhs):
 # r_half holds R at the half steps (nt, nx). Second order in h and dt.
 # ---------------------------------------------------------------------------
 
-def cn_evolve_py(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
+def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
     nt = r_half.shape[0]
     nx = p0.shape[0]
     p = p0.copy()
@@ -120,60 +79,5 @@ def cn_evolve_py(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
         diag[1:-1] = 1.0 + dt * d_new[1:-1] * inv_h2
         upper[1:-1] = -0.5 * dt * (d_new[2:] * inv_h2 - c_new[2:] * inv_2h)
 
-        p = thomas_solve_py(lower, diag, upper, rhs)
+        p = thomas_solve(lower, diag, upper, rhs)
     return p
-
-
-def _cn_evolve_loop(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
-    nt = r_half.shape[0]
-    nx = p0.shape[0]
-    p = p0.copy()
-    lower = np.zeros(nx)
-    diag = np.ones(nx)
-    upper = np.zeros(nx)
-    rhs = np.empty(nx)
-    cp = np.empty(nx)
-    dp = np.empty(nx)
-    inv_h2 = 1.0 / (h * h)
-    inv_2h = 0.5 / h
-    for step in range(nt):
-        for i in range(1, nx - 1):
-            lo = d_levels[step, i - 1] * inv_h2 + c_levels[step, i - 1] * inv_2h
-            mid = -2.0 * d_levels[step, i] * inv_h2
-            hi = d_levels[step, i + 1] * inv_h2 - c_levels[step, i + 1] * inv_2h
-            rhs[i] = p[i] + 0.5 * dt * (
-                lo * p[i - 1] + mid * p[i] + hi * p[i + 1]
-            ) + dt * r_half[step, i]
-            lower[i] = -0.5 * dt * (
-                d_levels[step + 1, i - 1] * inv_h2
-                + c_levels[step + 1, i - 1] * inv_2h
-            )
-            diag[i] = 1.0 + dt * d_levels[step + 1, i] * inv_h2
-            upper[i] = -0.5 * dt * (
-                d_levels[step + 1, i + 1] * inv_h2
-                - c_levels[step + 1, i + 1] * inv_2h
-            )
-        rhs[0] = bc_left[step + 1]
-        rhs[nx - 1] = bc_right[step + 1]
-
-        # in-place Thomas solve
-        cp[0] = upper[0] / diag[0]
-        dp[0] = rhs[0] / diag[0]
-        for i in range(1, nx):
-            denom = diag[i] - lower[i] * cp[i - 1]
-            cp[i] = upper[i] / denom
-            dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
-        p[nx - 1] = dp[nx - 1]
-        for i in range(nx - 2, -1, -1):
-            p[i] = dp[i] - cp[i] * p[i + 1]
-    return p
-
-
-if NUMBA_ENABLED:
-    laguerre_values = njit(cache=True)(_laguerre_values_loop)
-    thomas_solve = njit(cache=True)(thomas_solve_py)
-    cn_evolve = njit(cache=True)(_cn_evolve_loop)
-else:
-    laguerre_values = laguerre_values_py
-    thomas_solve = thomas_solve_py
-    cn_evolve = cn_evolve_py

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 verification failure, 2 config or usage error.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ import numpy as np
 from .cdr import (CaseTag, CdrSystem, build_case_a, build_case_b, build_fpe,
                   eval_fields)
 from .quantum import OscillatorParams, RadialOscillatorFamily
-from .verify import (GridSpec, evolve_oracle, ode_residual,
+from .verify import (GridSpec, ResidualReport, evolve_oracle, ode_residual,
                      orthonormality_matrix, pde_residual,
                      positive_diffusion_x_max, schrodinger_residual)
 
@@ -91,22 +92,36 @@ class RunConfig:
         )
 
 
-def _require(data, key, kind):
+_REQUIRED = object()
+
+
+def _require(data, key, kind, default=_REQUIRED, section=None):
+    """``data[key]`` checked against ``kind`` (float, int, dict or str).
+
+    A missing key takes ``default``, or is an error when none is given.
+    Numbers must be finite; ``section`` prefixes the field name in errors.
+    """
+    name = f"{section}.{key}" if section else key
     if key not in data:
-        raise ConfigError(f"config field '{key}' is required")
+        if default is _REQUIRED:
+            raise ConfigError(f"config field '{name}' is required")
+        return default
     value = data[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not math.isfinite(value)):
             raise ConfigError(
-                f"config field '{key}' must be a number, got {value!r}"
+                f"config field '{name}' must be a finite number, got {value!r}"
             )
         return float(value)
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(
-                f"config field '{key}' must be an integer, got {value!r}"
+                f"config field '{name}' must be an integer, got {value!r}"
             )
         return value
+    if kind is dict and not isinstance(value, dict):
+        raise ConfigError(f"config field '{name}' must be an object, got {value!r}")
     return value
 
 
@@ -147,20 +162,22 @@ def parse_config(data: dict) -> RunConfig:
         if val < 0:
             raise ConfigError(f"config field '{key}' must be >= 0, got {val}")
 
-    coeff_a = float(data.get("A", 1.0))
-    coeff_b = float(data.get("B", 1.0))
-    grid_data = dict(DEFAULT_CONFIG["grid"])
-    grid_data.update(data.get("grid", {}))
+    coeff_a = _require(data, "A", float, 1.0)
+    coeff_b = _require(data, "B", float, 1.0)
+    grid_data = _require(data, "grid", dict, {})
+    grid_fields = {
+        key: _require(grid_data, key, type(default), default, "grid")
+        for key, default in DEFAULT_CONFIG["grid"].items()
+    }
     try:
-        grid = GridSpec(
-            x_min=float(grid_data["x_min"]), x_max=float(grid_data["x_max"]),
-            nx=int(grid_data["nx"]), t_min=float(grid_data["t_min"]),
-            t_max=float(grid_data["t_max"]), nt=int(grid_data["nt"]),
-        )
-    except (ValueError, KeyError) as exc:
+        grid = GridSpec(**grid_fields)
+    except ValueError as exc:
         raise ConfigError(f"config field 'grid': {exc}")
-    tolerances = dict(DEFAULT_CONFIG["tolerances"])
-    tolerances.update(data.get("tolerances", {}))
+    tol_data = _require(data, "tolerances", dict, {})
+    tolerances = {
+        key: _require(tol_data, key, float, default, "tolerances")
+        for key, default in DEFAULT_CONFIG["tolerances"].items()
+    }
     return RunConfig(
         family=family, case=case, alpha=alpha, indices=indices,
         coeff_a=coeff_a, coeff_b=coeff_b, grid=grid, tolerances=tolerances,
@@ -218,44 +235,18 @@ def _cmd_eval(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_verify(config: RunConfig, tol_override: float | None,
-                out_dir: Path | None) -> int:
-    system = config.build()
-    grid = config.grid
-    tol = dict(config.tolerances)
-    if tol_override is not None:
-        for key in ("schrodinger_rel", "ode_abs", "pde_rel", "orthonormality"):
-            tol[key] = tol_override
-
-    rows = []
-    reports = {}
-
-    rep = schrodinger_residual(system.y_state, grid)
-    reports["schrodinger_solution"] = rep
-    rows.append(("schrodinger residual (solution)", rep.max_rel,
-                 tol["schrodinger_rel"], rep.max_rel <= tol["schrodinger_rel"]))
-    rep = schrodinger_residual(system.sigma_state, grid)
-    reports["schrodinger_diffusion"] = rep
-    rows.append(("schrodinger residual (diffusion)", rep.max_rel,
-                 tol["schrodinger_rel"], rep.max_rel <= tol["schrodinger_rel"]))
-
-    rep = ode_residual(system, grid.x_points())
-    reports["reduced_equation"] = rep
-    rows.append(("reduced-equation residual", rep.max_abs,
-                 tol["ode_abs"], rep.max_abs <= tol["ode_abs"]))
-
-    rep = pde_residual(system, grid, mode="analytic")
-    reports["pde_analytic"] = rep
-    rows.append(("pde residual (analytic)", rep.max_rel,
-                 tol["pde_rel"], rep.max_rel <= tol["pde_rel"]))
-
+def _gram_deviation(system: CdrSystem, config: RunConfig) -> float:
+    """Largest |G - I| over the Gram matrices of both profiles' chain members."""
     worst = 0.0
     for s_idx in {system.y_state.s, system.sigma_state.s}:
         gram = orthonormality_matrix(config.family, s_idx, n_max=4)
         worst = max(worst, float(np.max(np.abs(gram - np.eye(5)))))
-    rows.append(("orthonormality deviation", worst,
-                 tol["orthonormality"], worst <= tol["orthonormality"]))
+    return worst
 
+
+def _evolve_record(system: CdrSystem, config: RunConfig) -> dict:
+    """CN errors at two resolutions and their ratio (about 4 for 2nd order)."""
+    grid = config.grid
     # restrict the stepper to the region where the equation is parabolic
     x_hi = positive_diffusion_x_max(system, t_min=1.0, x_max=grid.x_max)
     evolve_grid = GridSpec(
@@ -263,10 +254,58 @@ def _cmd_verify(config: RunConfig, tol_override: float | None,
         t_min=1.0, t_max=2.0, nt=100,
     )
     report = evolve_oracle(system, evolve_grid, t0=1.0, t1=2.0, refinements=2)
-    ratio = report.entries[0][2] / report.entries[1][2]
-    ok = tol["evolve_ratio_lo"] <= ratio <= tol["evolve_ratio_hi"]
-    rows.append(("time-stepper error ratio (2x refinement)", ratio,
-                 (tol["evolve_ratio_lo"], tol["evolve_ratio_hi"]), ok))
+    return {
+        "entries": [list(entry) for entry in report.entries],
+        "error_ratio": report.entries[0][2] / report.entries[1][2],
+    }
+
+
+# One row per oracle: (report key, label, run(system, config) -> record,
+# metric(record) -> value, tolerance key or (low, high) keys). Each run
+# looks its oracle up by module name when called, so a rebound name (as in
+# perfbench/spans.py) takes effect.
+_VERIFY_ROWS = (
+    ("schrodinger_solution", "schrodinger residual (solution)",
+     lambda system, config: schrodinger_residual(system.y_state, config.grid),
+     lambda rep: rep.max_rel, "schrodinger_rel"),
+    ("schrodinger_diffusion", "schrodinger residual (diffusion)",
+     lambda system, config: schrodinger_residual(system.sigma_state, config.grid),
+     lambda rep: rep.max_rel, "schrodinger_rel"),
+    ("reduced_equation", "reduced-equation residual",
+     lambda system, config: ode_residual(system, config.grid.x_points()),
+     lambda rep: rep.max_abs, "ode_abs"),
+    ("pde_analytic", "pde residual (analytic)",
+     lambda system, config: pde_residual(system, config.grid, mode="analytic"),
+     lambda rep: rep.max_rel, "pde_rel"),
+    ("orthonormality_deviation", "orthonormality deviation",
+     _gram_deviation, lambda worst: worst, "orthonormality"),
+    ("evolve", "time-stepper error ratio (2x refinement)",
+     _evolve_record, lambda record: record["error_ratio"],
+     ("evolve_ratio_lo", "evolve_ratio_hi")),
+)
+
+
+def _cmd_verify(config: RunConfig, tol_override: float | None,
+                out_dir: Path | None) -> int:
+    system = config.build()
+    tol = dict(config.tolerances)
+    if tol_override is not None:
+        for key in ("schrodinger_rel", "ode_abs", "pde_rel", "orthonormality"):
+            tol[key] = tol_override
+
+    rows = []
+    records = {}
+    for key, label, run_oracle, metric, tol_key in _VERIFY_ROWS:
+        record = run_oracle(system, config)
+        records[key] = record
+        value = metric(record)
+        if isinstance(tol_key, tuple):
+            threshold = (tol[tol_key[0]], tol[tol_key[1]])
+            ok = threshold[0] <= value <= threshold[1]
+        else:
+            threshold = tol[tol_key]
+            ok = value <= threshold
+        rows.append((label, value, threshold, ok))
 
     width = max(len(r[0]) for r in rows) + 2
     all_ok = True
@@ -282,15 +321,12 @@ def _cmd_verify(config: RunConfig, tol_override: float | None,
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "passed": bool(all_ok),
-            "residuals": {k: r.as_dict() for k, r in reports.items()},
-            "orthonormality_deviation": worst,
-            "evolve": {
-                "entries": [list(entry) for entry in report.entries],
-                "error_ratio": ratio,
-            },
-        }
+        payload = {"passed": bool(all_ok), "residuals": {}}
+        for key, record in records.items():
+            if isinstance(record, ResidualReport):
+                payload["residuals"][key] = record.as_dict()
+            else:
+                payload[key] = record
         path = out_dir / "verify_report.json"
         path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {path}")

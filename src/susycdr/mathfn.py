@@ -18,7 +18,6 @@ __all__ = [
     "gaussian_tail_cutoff",
     "laguerre",
     "laguerre_deriv",
-    "log_gamma",
     "integrate",
     "fd_derivative",
 ]
@@ -94,13 +93,6 @@ def laguerre_deriv(n: int, a: float, y):
             np.asarray(y, dtype=np.float64)
         )
     return -laguerre(n - 1, a + 1.0, y)
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0 (Lanczos evaluation from the C library)."""
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1]. The 7-point Gauss rule

@@ -36,17 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import laguerre_values
-from .mathfn import fd_derivative
 
 __all__ = [
     "OscillatorParams",
-    "ShapeInvariantFamily",
     "RadialOscillatorFamily",
     "Eigenstate",
     "base_potential",
-    "chain_potential",
-    "chain_energy",
-    "eigenfunction",
     "darboux_partner",
     "darboux_state",
     "DEFAULT_X_MIN",
@@ -77,32 +72,7 @@ def _check_positive_x(x):
     return arr
 
 
-class ShapeInvariantFamily:
-    """A chain of partner potentials differing by a parameter shift.
-
-    Subclasses supply the base closed forms; the chain structure
-    (parameter shift per step plus an x-independent remainder) is what
-    makes every member exactly solvable.
-    """
-
-    def shifted_params(self, s: int):
-        raise NotImplementedError
-
-    def remainder(self, s: int) -> float:
-        """Constant added when stepping from member s to s+1."""
-        raise NotImplementedError
-
-    def potential(self, s: int, x):
-        raise NotImplementedError
-
-    def energy(self, s: int, n: int) -> float:
-        raise NotImplementedError
-
-    def eigenstate(self, s: int, n: int) -> "Eigenstate":
-        raise NotImplementedError
-
-
-class RadialOscillatorFamily(ShapeInvariantFamily):
+class RadialOscillatorFamily:
     """The half-line oscillator chain: a_s = (omega, ell + s), remainder 2*omega."""
 
     def __init__(self, params: OscillatorParams):
@@ -120,9 +90,6 @@ class RadialOscillatorFamily(ShapeInvariantFamily):
         if s < 0:
             raise ValueError(f"chain index s must be >= 0, got {s}")
         return OscillatorParams(self.params.omega, self.params.ell + s)
-
-    def remainder(self, s: int) -> float:
-        return 2.0 * self.params.omega
 
     def potential(self, s: int, x):
         # V_s(x) = V_0(x; a_s) + sum of the s remainders (2*omega each)
@@ -146,16 +113,6 @@ def base_potential(params: OscillatorParams, x):
     w, l = params.omega, params.ell
     out = 0.25 * w * w * arr * arr + l * (l + 1.0) / (arr * arr) - w * (l + 1.5)
     return float(out) if np.ndim(x) == 0 else out
-
-
-def chain_potential(family: ShapeInvariantFamily, s: int, x):
-    """Potential of chain member s (base form at shifted parameters plus remainders)."""
-    return family.potential(s, x)
-
-
-def chain_energy(family: ShapeInvariantFamily, s: int, n: int) -> float:
-    """Level-n energy of chain member s; equals the base level n+s."""
-    return family.energy(s, n)
 
 
 class Eigenstate:
@@ -253,67 +210,32 @@ class Eigenstate:
         )
 
 
-def eigenfunction(family: RadialOscillatorFamily, s: int, n: int) -> Eigenstate:
-    """Level-n eigenstate of chain member s."""
-    return family.eigenstate(s, n)
-
-
-def _log_deriv2(phi, x):
-    """(ln phi)'' -- analytic when phi provides deriv/deriv2, else 4th-order FD."""
-    if hasattr(phi, "deriv2"):
-        val = phi(x)
-        ratio1 = phi.deriv(x) / val
-        return phi.deriv2(x) / val - ratio1 * ratio1
-    return fd_derivative(lambda xx: math.log(phi(xx)), x, order=2)
-
-
 def darboux_partner(potential, ground_state, x):
     """Partner potential V(x) - 2 (ln phi(x))'' built on a nodeless state.
 
     ``potential`` is a callable V(x); ``ground_state`` must be positive at
-    every evaluation point (it seeds the transformation). Derivatives are
-    analytic when the state supplies them, finite-difference otherwise.
+    every evaluation point (it seeds the transformation) and supply
+    analytic ``deriv``/``deriv2`` like :class:`Eigenstate`.
     """
-    arr = np.asarray(x, dtype=np.float64)
     phi_val = np.asarray(ground_state(x), dtype=np.float64)
     if np.any(phi_val <= 0.0):
         raise ValueError("darboux_partner requires the seed state to be positive")
-    if hasattr(ground_state, "deriv2"):
-        out = potential(x) - 2.0 * _log_deriv2(ground_state, x)
-        return float(out) if np.ndim(x) == 0 else out
-    if np.ndim(x) == 0:
-        return potential(x) - 2.0 * _log_deriv2(ground_state, float(x))
-    return np.array(
-        [potential(xx) - 2.0 * _log_deriv2(ground_state, float(xx)) for xx in arr]
-    )
+    ratio1 = ground_state.deriv(x) / phi_val
+    log_d2 = ground_state.deriv2(x) / phi_val - ratio1 * ratio1
+    out = potential(x) - 2.0 * log_d2
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def darboux_state(seed_state, source_state, x):
     """Transformed state phi'(x) - (ln phi_k(x))' * phi(x).
 
     Annihilates its seed; applied to another state of the same potential
-    it lands in the partner problem at unchanged energy.
+    it lands in the partner problem at unchanged energy. Both states
+    supply an analytic ``deriv``.
     """
     seed_val = np.asarray(seed_state(x), dtype=np.float64)
     if np.any(seed_val == 0.0):
         raise ValueError("darboux_state is undefined at zeros of the seed state")
-    if hasattr(source_state, "deriv"):
-        src_d = source_state.deriv(x)
-    else:
-        if np.ndim(x) == 0:
-            src_d = fd_derivative(source_state, float(x), order=1)
-        else:
-            src_d = np.array(
-                [fd_derivative(source_state, float(xx), order=1) for xx in x]
-            )
-    if hasattr(seed_state, "deriv"):
-        seed_d = seed_state.deriv(x)
-    else:
-        if np.ndim(x) == 0:
-            seed_d = fd_derivative(seed_state, float(x), order=1)
-        else:
-            seed_d = np.array(
-                [fd_derivative(seed_state, float(xx), order=1) for xx in x]
-            )
-    out = src_d - (seed_d / seed_val) * np.asarray(source_state(x))
+    out = (source_state.deriv(x)
+           - (seed_state.deriv(x) / seed_val) * np.asarray(source_state(x)))
     return float(out) if np.ndim(x) == 0 else out

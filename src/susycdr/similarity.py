@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "ScalingExponents",
-    "SimilarityFrame",
     "exponents_for_class",
     "to_similarity",
     "lift_field",
@@ -67,16 +66,3 @@ def lift_field(exponent: float, profile, alpha: float):
         return np.asarray(t, dtype=np.float64) ** exponent * profile(z)
 
     return field
-
-
-@dataclass(frozen=True)
-class SimilarityFrame:
-    """Bundles one exponent set; valid for t > 0 only."""
-
-    exponents: ScalingExponents
-
-    def similarity(self, x, t):
-        return to_similarity(x, t, self.exponents.alpha)
-
-    def lift(self, exponent: float, profile):
-        return lift_field(exponent, profile, self.exponents.alpha)

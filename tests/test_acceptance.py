@@ -16,8 +16,7 @@ from susycdr.cdr import (FieldForm, build_case_a, build_case_b, build_fpe,
                          eval_fields, swap)
 from susycdr.cli import run
 from susycdr.quantum import (DEFAULT_X_MIN, OscillatorParams,
-                             RadialOscillatorFamily,
-                             chain_potential, darboux_partner)
+                             RadialOscillatorFamily, darboux_partner)
 from susycdr.verify import (GridSpec, evolve_oracle, node_count, ode_residual,
                             orthonormality_matrix, pde_residual,
                             positive_diffusion_x_max, schrodinger_residual)
@@ -81,10 +80,10 @@ def test_criterion_3_shape_invariance():
         family = _family(omega, ell)
         for s in (0, 1, 2):
             partner = darboux_partner(
-                lambda x, s=s: chain_potential(family, s, x),
+                lambda x, s=s: family.potential(s, x),
                 family.eigenstate(s, 0), xs,
             )
-            target = chain_potential(family, s + 1, xs)
+            target = family.potential(s + 1, xs)
             worst = max(worst, float(np.max(np.abs(partner - target))))
     _verdict(3, "shape invariance", worst <= 1e-6,
              f"max |partner - next member| = {worst:.3e} <= 1e-06")

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, CSV round-trips, deterministic exports."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -49,6 +50,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'m'"):
             parse_config({"omega": 1.0, "ell": 1.0, "alpha": 1.0,
                           "case": "case_a", "n": 1})
+
+
+@pytest.mark.parametrize("override,field", [
+    ({"tolerances": {"pde_rel": "x"}}, "tolerances.pde_rel"),
+    ({"tolerances": [1, 2]}, "tolerances"),
+    ({"A": None}, "A"),
+    ({"A": "abc"}, "A"),
+    ({"omega": float("nan")}, "omega"),
+    ({"alpha": float("inf")}, "alpha"),
+], ids=["tolerance-str", "tolerances-list", "A-null", "A-str", "omega-nan",
+        "alpha-inf"])
+def test_bad_number_field_exits_2_naming_it(tmp_path, capsys, override, field):
+    path = write_config(tmp_path, **override)
+    assert run(["--config", str(path), "verify"]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
 
 
 class TestBuildCommand:
@@ -101,6 +117,23 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_table_rows_in_order(self, capsys):
+        assert run(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = [
+            ("schrodinger residual (solution)", "<= 1e-08"),
+            ("schrodinger residual (diffusion)", "<= 1e-08"),
+            ("reduced-equation residual", "<= 1e-08"),
+            ("pde residual (analytic)", "<= 1e-08"),
+            ("orthonormality deviation", "<= 1e-08"),
+            ("time-stepper error ratio (2x refinement)", "in [3.5, 4.5]"),
+        ]
+        assert len(lines) == len(expected) + 1
+        for line, (label, bound) in zip(lines, expected):
+            pattern = rf"{re.escape(label)} +\S+  {re.escape(bound)} +PASS"
+            assert re.fullmatch(pattern, line), line
+        assert lines[-1] == "verification: PASS"
 
     def test_absurd_tolerance_fails_with_exit_1(self, capsys):
         assert run(["--tol", "1e-20", "verify"]) == 1

@@ -1,8 +1,8 @@
 """Special-function and quadrature tests.
 
 The Laguerre recurrence is checked against an explicit series sum, the
-derivative identity against finite differences, log-gamma against
-mpmath, and the quadrature against closed-form integrals. The series
+derivative identity against finite differences, and the quadrature
+against closed-form integrals. The series
 and finite-difference oracles live here, independent of the package;
 the sweep oracles run in extended precision because the float64 series
 loses up to eight digits to cancellation near n = 10, y = 30.
@@ -16,7 +16,7 @@ import pytest
 
 from susycdr.mathfn import (QuadratureError, QuadratureSpec, fd_derivative,
                             gaussian_tail_cutoff, integrate, laguerre,
-                            laguerre_deriv, log_gamma)
+                            laguerre_deriv)
 
 mpmath.mp.dps = 40
 
@@ -110,32 +110,6 @@ class TestLaguerreDeriv:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             laguerre_deriv(2, -1.5, 1.0)
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_half_integer(self):
-        assert log_gamma(2.5) == pytest.approx(
-            math.log(3.0 * math.sqrt(math.pi) / 4.0), abs=1e-14
-        )
-
-    def test_against_mpmath(self):
-        ref = float(mpmath.log(mpmath.gamma(mpmath.mpf("7.3"))))
-        assert log_gamma(7.3) == pytest.approx(ref, rel=1e-12)
-
-    @pytest.mark.parametrize("x", np.linspace(0.5, 20.0, 13))
-    def test_recursion(self, x):
-        assert math.exp(log_gamma(x + 1.0) - log_gamma(x)) == pytest.approx(
-            x, rel=1e-12
-        )
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-3.0)
 
 
 class TestIntegrate:

@@ -14,8 +14,7 @@ import pytest
 from susycdr.mathfn import QuadratureSpec, fd_derivative, integrate
 from susycdr.quantum import (DEFAULT_X_MIN, Eigenstate, OscillatorParams,
                              RadialOscillatorFamily, base_potential,
-                             chain_energy, chain_potential, darboux_partner,
-                             darboux_state, eigenfunction)
+                             darboux_partner, darboux_state)
 from susycdr.verify import GridSpec, node_count, schrodinger_residual
 
 
@@ -61,54 +60,54 @@ class TestChainPotential:
     def test_s_zero_equals_base(self, family):
         x = np.linspace(0.2, 8.0, 50)
         np.testing.assert_array_equal(
-            chain_potential(family, 0, x), base_potential(family.params, x)
+            family.potential(0, x), base_potential(family.params, x)
         )
 
     def test_first_member_value(self, family):
-        assert chain_potential(family, 1, 1.0) == pytest.approx(4.75, abs=1e-12)
+        assert family.potential(1, 1.0) == pytest.approx(4.75, abs=1e-12)
 
     def test_third_member_rule(self, family):
         x = np.linspace(0.2, 8.0, 50)
         expected = base_potential(OscillatorParams(1.0, 4.0), x) + 6.0
         np.testing.assert_allclose(
-            chain_potential(family, 3, x), expected, rtol=0, atol=1e-12
+            family.potential(3, x), expected, rtol=0, atol=1e-12
         )
 
 
 class TestChainEnergy:
     def test_ground(self, family):
-        assert chain_energy(family, 0, 0) == 0.0
+        assert family.energy(0, 0) == 0.0
 
     def test_composition(self, family):
-        assert chain_energy(family, 1, 3) == pytest.approx(8.0)
+        assert family.energy(1, 3) == pytest.approx(8.0)
 
     def test_degeneracy(self, family):
-        assert chain_energy(family, 3, 1) == chain_energy(family, 1, 3)
+        assert family.energy(3, 1) == family.energy(1, 3)
         for s in range(5):
             for n in range(5):
                 for s2 in range(5):
                     n2 = n + s - s2
                     if n2 < 0:
                         continue
-                    assert chain_energy(family, s, n) == chain_energy(
-                        family, s2, n2
+                    assert family.energy(s, n) == family.energy(
+                        s2, n2
                     )
 
 
 class TestEigenfunction:
     def test_vanishes_at_origin(self, family):
-        u = eigenfunction(family, 0, 2)
+        u = family.eigenstate(0, 2)
         assert u(0.0) == 0.0
         assert abs(u(1e-8)) < 1e-12
 
     def test_decays_at_infinity(self, family):
-        u = eigenfunction(family, 1, 2)
+        u = family.eigenstate(1, 2)
         assert abs(u(25.0)) < 1e-60
 
     def test_value_against_quadrature_normalization(self, family):
         # oracle: normalize the bare shape q^p e^{-q/2} L_n^a(q) by
         # quadrature, then compare the closed-form state against it
-        u = eigenfunction(family, 0, 0)
+        u = family.eigenstate(0, 0)
 
         def shape(x):
             q = 0.5 * x * x
@@ -127,9 +126,9 @@ class TestEigenfunction:
             assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_interior_zero_count(self, family):
-        assert node_count(eigenfunction(family, 0, 0), (DEFAULT_X_MIN, 10.0)) == 0
-        assert node_count(eigenfunction(family, 0, 3), (DEFAULT_X_MIN, 10.0)) == 3
-        assert node_count(eigenfunction(family, 3, 1), (DEFAULT_X_MIN, 10.0)) == 1
+        assert node_count(family.eigenstate(0, 0), (DEFAULT_X_MIN, 10.0)) == 0
+        assert node_count(family.eigenstate(0, 3), (DEFAULT_X_MIN, 10.0)) == 3
+        assert node_count(family.eigenstate(3, 1), (DEFAULT_X_MIN, 10.0)) == 1
 
     @pytest.mark.parametrize("s,n", [(0, 0), (0, 5), (1, 2), (3, 4)])
     def test_schrodinger_residual(self, family, s, n):
@@ -137,7 +136,7 @@ class TestEigenfunction:
         assert rep.max_rel <= 1e-8
 
     def test_derivatives_match_finite_differences(self, family):
-        u = eigenfunction(family, 0, 2)
+        u = family.eigenstate(0, 2)
         for x in (0.5, 1.0, 2.5, 4.0):
             fd1 = fd_derivative(u, x, order=1)
             fd2 = fd_derivative(u, x, order=2)
@@ -145,7 +144,7 @@ class TestEigenfunction:
             assert u.deriv2(x) == pytest.approx(fd2, abs=1e-6)
 
     def test_second_derivative_value(self, family):
-        u = eigenfunction(family, 0, 0)
+        u = family.eigenstate(0, 0)
         fd = fd_derivative(u, 1.0, order=2)
         assert abs(u.deriv2(1.0) - fd) <= 1e-6
 
@@ -158,7 +157,7 @@ class TestEigenfunction:
         assert abs(val) <= 1e-8
 
     def test_rejects_negative_x(self, family):
-        u = eigenfunction(family, 0, 1)
+        u = family.eigenstate(0, 1)
         with pytest.raises(ValueError):
             u(-1.0)
         with pytest.raises(ValueError):
@@ -167,28 +166,38 @@ class TestEigenfunction:
 
 class TestDarbouxPartner:
     def test_matches_next_chain_member_at_point(self, family):
-        v0 = lambda x: chain_potential(family, 0, x)
+        v0 = lambda x: family.potential(0, x)
         val = darboux_partner(v0, family.eigenstate(0, 0), 1.0)
         assert val == pytest.approx(4.75, abs=1e-10)
-        assert val == pytest.approx(chain_potential(family, 1, 1.0), abs=1e-10)
+        assert val == pytest.approx(family.potential(1, 1.0), abs=1e-10)
 
     @pytest.mark.parametrize("s", [0, 1, 2])
     def test_shape_invariance_identity(self, family, s):
         x = np.linspace(0.2, 8.0, 300)
-        vs = lambda xx: chain_potential(family, s, xx)
+        vs = lambda xx: family.potential(s, xx)
         partner = darboux_partner(vs, family.eigenstate(s, 0), x)
-        target = chain_potential(family, s + 1, x)
+        target = family.potential(s + 1, x)
         assert np.max(np.abs(partner - target)) <= 1e-6
 
     def test_free_particle_sanity(self):
-        partner = darboux_partner(
-            lambda x: 0.0, lambda x: math.exp(-x), 1.3
-        )
+        class Decay:
+            """exp(-x) with its derivatives: the free-particle seed."""
+
+            def __call__(self, x):
+                return np.exp(-x)
+
+            def deriv(self, x):
+                return -np.exp(-x)
+
+            def deriv2(self, x):
+                return np.exp(-x)
+
+        partner = darboux_partner(lambda x: 0.0, Decay(), 1.3)
         assert abs(partner) <= 1e-6
 
     def test_rejects_nonpositive_seed(self, family):
         u1 = family.eigenstate(0, 1)  # has a node, goes negative
-        v0 = lambda x: chain_potential(family, 0, x)
+        v0 = lambda x: family.potential(0, x)
         with pytest.raises(ValueError):
             darboux_partner(v0, u1, 5.0)
 
@@ -221,7 +230,7 @@ class TestDarbouxState:
             x = float(x)
             resid = (
                 -fd_derivative(phi1, x, order=2, h=1e-3)
-                + (chain_potential(family, 1, x) - u1.energy) * phi1(x)
+                + (family.potential(1, x) - u1.energy) * phi1(x)
             )
             assert abs(resid) <= 1e-5 * scale
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from susycdr.similarity import (ScalingExponents, SimilarityFrame,
-                                exponents_for_class, lift_field, to_similarity)
+from susycdr.similarity import (ScalingExponents, exponents_for_class,
+                                lift_field, to_similarity)
 
 
 class TestExponents:
@@ -83,11 +83,3 @@ class TestLiftField:
                     lhs = f(eps ** alpha * x, eps * t)
                     rhs = eps ** e * f(x, t)
                     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
-
-
-class TestSimilarityFrame:
-    def test_frame_wraps_exponents(self):
-        frame = SimilarityFrame(exponents_for_class(1.0))
-        assert frame.similarity(4.0, 2.0) == pytest.approx(2.0)
-        lifted = frame.lift(frame.exponents.delta, lambda z: 2.0 * z)
-        assert lifted(3.0, 2.0) == pytest.approx(2.0 * 2.0 * 1.5)
