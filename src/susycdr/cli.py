@@ -383,6 +383,19 @@ def _cmd_emit_fig(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """``--tol`` value: a finite number above 0 (inf would pass every row)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0, got {text!r}"
+        )
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="susycdr",
@@ -394,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (eval/emit-fig default: "
                              "susycdr_out; verify writes a JSON report "
                              "only when given)")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_tolerance, default=None,
                         help="override the residual/orthonormality tolerances")
     parser.add_argument("command", choices=["build", "eval", "verify", "emit-fig"])
     return parser

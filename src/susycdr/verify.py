@@ -98,10 +98,17 @@ class ResidualReport:
         }
 
 
-def _report(residual, scale, points, mode):
-    rel = np.abs(residual) / np.maximum(scale, _SCALE_FLOOR)
+def _report(residual, scale, x, mode, t=None):
+    """Report over the points ``x``, or over the (t.size, x.size) grid of
+    (x, t) pairs when ``t`` is given."""
+    residual = residual.ravel()
+    rel = np.abs(residual) / np.maximum(scale.ravel(), _SCALE_FLOOR)
     idx = int(np.argmax(rel))
-    worst = points[idx]
+    if t is None:
+        worst = x[idx]
+    else:
+        j, i = divmod(idx, x.size)
+        worst = (float(x[i]), float(t[j]))
     return ResidualReport(
         max_abs=float(np.max(np.abs(residual))),
         l2=float(np.sqrt(np.mean(residual ** 2))),
@@ -224,27 +231,21 @@ def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
     if mode not in ("analytic", "finite-difference"):
         raise ValueError(f"unknown mode {mode!r}")
     x = grid.x_points()
-    residuals = []
-    scales = []
-    points = []
-    for t in grid.t_points():
+    ts = grid.t_points()
+    residuals = np.empty((grid.nt, grid.nx))
+    scales = np.empty((grid.nt, grid.nx))
+    for j, t in enumerate(ts):
         if mode == "analytic":
             p, dt_p, dx_cp, dxx_dp, reac = _analytic_terms(system, x, float(t), form)
         else:
             p, dt_p, dx_cp, dxx_dp, reac = _fd_terms(
                 system, x, float(t), form, fd_step
             )
-        r = dt_p + dx_cp - dxx_dp - reac
-        scale = np.maximum.reduce(
+        residuals[j] = dt_p + dx_cp - dxx_dp - reac
+        scales[j] = np.maximum.reduce(
             [np.abs(p), np.abs(dx_cp), np.abs(dxx_dp), np.abs(reac)]
         )
-        residuals.append(r)
-        scales.append(scale)
-        points.extend((float(xx), float(t)) for xx in x)
-    return _report(
-        np.concatenate(residuals), np.concatenate(scales), points,
-        mode,
-    )
+    return _report(residuals, scales, x, mode, t=ts)
 
 
 def orthonormality_matrix(family: RadialOscillatorFamily, s: int, n_max: int,
@@ -366,6 +367,10 @@ class EvolveReport:
         return self.entries[0][2]
 
 
+# Time levels per broadcast eval_fields call in _evolve_single.
+_FIELD_BLOCK = 16
+
+
 def _evolve_single(system, x, t0, t1, nt):
     nx = x.shape[0]
     h = x[1] - x[0]
@@ -377,17 +382,20 @@ def _evolve_single(system, x, t0, t1, nt):
     c_levels = np.empty((nt + 1, nx))
     bc_left = np.empty(nt + 1)
     bc_right = np.empty(nt + 1)
-    for j, t in enumerate(levels):
-        p, d, c, _ = eval_fields(system, x, float(t))
-        d_levels[j] = d
-        c_levels[j] = c
-        bc_left[j] = p[0]
-        bc_right[j] = p[-1]
     r_half = np.empty((nt, nx))
-    for j, t in enumerate(halves):
-        r_half[j] = eval_fields(system, x, float(t))[3]
+    # Blocked: one broadcast over all levels raised certify's peak RSS by a quarter.
+    for start in range(0, nt + 1, _FIELD_BLOCK):
+        block = slice(start, start + _FIELD_BLOCK)
+        p, d, c, _ = eval_fields(system, x[None, :], levels[block, None])
+        if start == 0:
+            p0 = p[0]
+        d_levels[block] = d
+        c_levels[block] = c
+        bc_left[block] = p[:, 0]
+        bc_right[block] = p[:, -1]
+        if start < nt:  # the last block may hold level nt alone
+            r_half[block] = eval_fields(system, x[None, :], halves[block, None])[3]
 
-    p0 = eval_fields(system, x, t0)[0]
     p_num = _kernels.cn_evolve(
         p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h
     )

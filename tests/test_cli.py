@@ -67,6 +67,12 @@ def test_bad_number_field_exits_2_naming_it(tmp_path, capsys, override, field):
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_bad_tol_exits_2_naming_it(capsys, value):
+    assert run(["--tol", value, "verify"]) == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 class TestBuildCommand:
     def test_default_build_succeeds(self, capsys):
         assert run(["build"]) == 0

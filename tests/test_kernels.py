@@ -1,24 +1,25 @@
 """The numpy kernels against dense linear-algebra references."""
 
 import numpy as np
+import pytest
 
 from susycdr import _kernels
 
 
 class TestThomasKernel:
-    def test_matches_dense_solve(self):
+    @pytest.mark.parametrize("n", [2, 3, 64, 401])
+    def test_matches_dense_solve(self, n):
         rng = np.random.default_rng(99)
-        n = 64
         lower = rng.standard_normal(n)
         upper = rng.standard_normal(n)
         diag = 4.0 + rng.random(n)  # diagonally dominant
         rhs = rng.standard_normal(n)
         mat = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
         expected = np.linalg.solve(mat, rhs)
-        np.testing.assert_allclose(
-            _kernels.thomas_solve(lower, diag, upper, rhs), expected,
-            rtol=1e-11,
-        )
+        result = _kernels.thomas_solve(lower, diag, upper, rhs)
+        assert isinstance(result, np.ndarray)
+        assert result.dtype == np.float64 and result.shape == (n,)
+        np.testing.assert_allclose(result, expected, rtol=1e-11)
 
 
 def _dense_operator(d, c, h):

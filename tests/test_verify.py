@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from susycdr import _kernels
 from susycdr.cdr import (CdrSystem, FieldForm, build_case_a, build_case_b,
-                         build_fpe)
+                         build_fpe, eval_fields)
 from susycdr.quantum import (DEFAULT_X_MIN, OscillatorParams,
                              RadialOscillatorFamily)
 from susycdr.verify import (GridSpec, evolve_oracle, node_count, ode_residual,
@@ -188,6 +189,23 @@ class TestPdeResidual:
         assert SMALL_GRID.x_min <= x <= SMALL_GRID.x_max
         assert SMALL_GRID.t_min <= t <= SMALL_GRID.t_max
 
+    def test_worst_point_is_the_largest_relative_residual(self, fig1):
+        form = FieldForm.ALT_REACTION_EXPONENT
+        grid = GridSpec(x_min=0.5, x_max=4.0, nx=50, t_min=0.5, t_max=2.0,
+                        nt=7)
+        x = grid.x_points()
+        best = None
+        for t in grid.t_points():
+            p, dt_p, dx_cp, dxx_dp, reac = _analytic_terms(fig1, x, t, form)
+            scale = np.maximum.reduce(
+                [np.abs(p), np.abs(dx_cp), np.abs(dxx_dp), np.abs(reac)])
+            rel = np.abs(dt_p + dx_cp - dxx_dp - reac) / np.maximum(scale, 1e-30)
+            i = int(np.argmax(rel))
+            if best is None or rel[i] > best[0]:
+                best = (rel[i], (float(x[i]), float(t)))
+        rep = pde_residual(fig1, grid, form=form)
+        assert (rep.max_rel, rep.worst_point) == best
+
 
 class TestOrthonormality:
     def test_gram_matrix_is_identity(self, family):
@@ -238,7 +256,57 @@ class TestPositiveDiffusionXMax:
         assert np.all(fig1.diffusion(zs) > 0.0)
 
 
+def _systems(family):
+    return {
+        "fpe": build_fpe(family, 1, 2, 0.8),
+        "case_a": build_case_a(family, 1.2, n=3, m=1),
+        "case_b": build_case_b(family, 1.0, n=3, s=1, n_prime=1, s_prime=3,
+                               coeff_a=1.5, coeff_b=2.5),
+    }
+
+
+@pytest.mark.parametrize("case", ["fpe", "case_a", "case_b"])
+def test_broadcast_fields_equal_single_level_calls(family, case):
+    system = _systems(family)[case]
+    x = np.linspace(0.2, 6.0, 73)
+    t = 1.0 + 0.03 * np.arange(21)
+    stacked = [eval_fields(system, x, float(tt)) for tt in t]
+    for k, field in enumerate(eval_fields(system, x[None, :], t[:, None])):
+        assert np.array_equal(field, np.stack([f[k] for f in stacked]))
+
+
+def _per_level_evolve(system, x, t0, t1, nt):
+    """CN solution and L2 error with one eval_fields call per time level."""
+    dt = (t1 - t0) / nt
+    levels = [eval_fields(system, x, float(t0 + dt * j)) for j in range(nt + 1)]
+    r_half = np.array([eval_fields(system, x, float(t0 + dt * (j + 0.5)))[3]
+                       for j in range(nt)])
+    p_num = _kernels.cn_evolve(
+        eval_fields(system, x, t0)[0],
+        np.array([f[1] for f in levels]), np.array([f[2] for f in levels]),
+        r_half, np.array([f[0][0] for f in levels]),
+        np.array([f[0][-1] for f in levels]), dt, x[1] - x[0],
+    )
+    p_exact = eval_fields(system, x, t1)[0]
+    return p_num, float(np.sqrt((x[1] - x[0]) * np.sum((p_num - p_exact) ** 2)))
+
+
 class TestEvolveOracle:
+    # below the assembly block size, equal to it, and not a multiple of it
+    @pytest.mark.parametrize("nt", [5, 16, 37])
+    def test_blocked_assembly_matches_per_level_reference(self, fig1, nt):
+        x_hi = positive_diffusion_x_max(fig1, 1.0, 8.0)
+        grid = GridSpec(x_min=0.2, x_max=x_hi, nx=40, t_min=1.0, t_max=2.0,
+                        nt=nt)
+        rep = evolve_oracle(fig1, grid, 1.0, 2.0, refinements=2)
+        for level, (nx, steps, err) in enumerate(rep.entries):
+            assert (nx, steps) == (40 * 2 ** level, nt * 2 ** level)
+            x = np.linspace(0.2, x_hi, nx)
+            p_num, ref_err = _per_level_evolve(fig1, x, 1.0, 2.0, steps)
+            assert err == ref_err
+            if level == 0:
+                assert np.array_equal(rep.field, p_num)
+
     def test_no_evolution_no_error(self, family):
         system = build_fpe(family, 0, 0, 1.0)
         grid = GridSpec(nx=50, nt=10)
