@@ -26,6 +26,10 @@ Physical fields, with z = x / t^alpha:
     C = t^(alpha - 1) * (2 sigma'(z) + alpha z)
     R = t^(-alpha - 1) * rho(z)
 
+Every profile comes from y = A u_y and sigma = B u_sigma, read once per
+call (:meth:`CdrSystem.jets` gives both with two derivatives); convection
+and reaction are assembled from the profile values the caller holds.
+
 :class:`FieldForm` selects between this exact assembly and two
 deliberately inconsistent alternates (convection built on sigma instead
 of sigma', reaction carrying t^(1 - alpha)); the alternates exist only so
@@ -114,45 +118,31 @@ class CdrSystem:
     def solution(self, z):
         return self.coeff_a * self.y_state(z)
 
-    def solution_d(self, z):
-        return self.coeff_a * self.y_state.deriv(z)
-
-    def solution_dd(self, z):
-        return self.coeff_a * self.y_state.deriv2(z)
-
     def diffusion(self, z):
         return self.coeff_b * self.sigma_state(z)
 
-    def diffusion_d(self, z):
-        return self.coeff_b * self.sigma_state.deriv(z)
+    def jets(self, z):
+        """Scaled ((y, y', y''), (sigma, sigma', sigma'')) at z > 0."""
+        return tuple((c * u(z), c * u.deriv(z), c * u.deriv2(z)) for c, u in
+                     ((self.coeff_a, self.y_state), (self.coeff_b, self.sigma_state)))
 
-    def diffusion_dd(self, z):
-        return self.coeff_b * self.sigma_state.deriv2(z)
+    def convection(self, z, sigma_jet, form: FieldForm = FieldForm.EXACT,
+                   order: int = 0):
+        """Convection profile tau = 2 sigma' + alpha z (``order=0``) or its
+        slope tau' = 2 sigma'' + alpha (``order=1``), from the diffusion jet
+        (sigma, sigma', ...); ALT_CONVECTION_PROFILE puts sigma for sigma'."""
+        g = sigma_jet[order + (form is not FieldForm.ALT_CONVECTION_PROFILE)]
+        return 2.0 * g + (self.alpha * np.asarray(z) if order == 0 else self.alpha)
 
-    def convection(self, z, form: FieldForm = FieldForm.EXACT):
-        if form is FieldForm.ALT_CONVECTION_PROFILE:
-            return 2.0 * self.diffusion(z) + self.alpha * np.asarray(z)
-        return 2.0 * self.diffusion_d(z) + self.alpha * np.asarray(z)
-
-    def convection_d(self, z, form: FieldForm = FieldForm.EXACT):
-        if form is FieldForm.ALT_CONVECTION_PROFILE:
-            return 2.0 * self.diffusion_d(z) + self.alpha
-        return 2.0 * self.diffusion_dd(z) + self.alpha
-
-    def potential_y(self, z):
-        """Chain potential the solution state solves."""
-        return self.family.potential(self.y_state.s, z)
-
-    def potential_sigma(self, z):
-        return self.family.potential(self.sigma_state.s, z)
-
-    def reaction(self, z):
+    def reaction(self, z, y, sigma):
+        """Reaction profile rho from the solution and diffusion values at z."""
         if self.case_tag is CaseTag.FPE:
             return np.zeros_like(np.asarray(z, dtype=np.float64)) if np.ndim(z) else 0.0
         if self.case_tag is CaseTag.CASE_A:
-            return -self.delta_e * self.diffusion(z) * self.solution(z)
-        dv = self.potential_sigma(z) - self.potential_y(z)
-        return dv * self.diffusion(z) * self.solution(z)
+            return -self.delta_e * sigma * y
+        dv = (self.family.potential(self.sigma_state.s, z)
+              - self.family.potential(self.y_state.s, z))
+        return dv * sigma * y
 
     def reaction_time_exponent(self, form: FieldForm = FieldForm.EXACT) -> float:
         if form is FieldForm.ALT_REACTION_EXPONENT:
@@ -233,10 +223,13 @@ def eval_fields(system: CdrSystem, x, t, form: FieldForm = FieldForm.EXACT):
         raise ValueError("fields of the half-line family require x > 0")
     z = to_similarity(x_arr, t_arr, system.alpha)
     e = system.exponents
-    p_field = t_arr ** e.mu * system.solution(z)
-    d_field = t_arr ** e.delta * system.diffusion(z)
-    c_field = t_arr ** e.gamma * system.convection(z, form)
-    r_field = t_arr ** system.reaction_time_exponent(form) * system.reaction(z)
+    y = system.solution(z)
+    sig = system.diffusion(z)
+    sig_d = system.coeff_b * system.sigma_state.deriv(z)
+    p_field = t_arr ** e.mu * y
+    d_field = t_arr ** e.delta * sig
+    c_field = t_arr ** e.gamma * system.convection(z, (sig, sig_d), form)
+    r_field = t_arr ** system.reaction_time_exponent(form) * system.reaction(z, y, sig)
     return p_field, d_field, c_field, r_field
 
 

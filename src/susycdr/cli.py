@@ -130,6 +130,8 @@ def parse_config(data: dict) -> RunConfig:
     omega = _require(data, "omega", float)
     ell = _require(data, "ell", float)
     alpha = _require(data, "alpha", float)
+    if alpha <= 0.0:
+        raise ConfigError(f"config field 'alpha' must be > 0, got {alpha!r}")
     case_name = _require(data, "case", str)
     try:
         case = CaseTag(case_name)
@@ -219,12 +221,21 @@ def _cmd_build(config: RunConfig) -> int:
 
 def _cmd_eval(config: RunConfig, out_dir: Path) -> int:
     system = config.build()
+    xs = config.grid.x_points()
+    ts = config.grid.t_points()
+    levels = [eval_fields(system, xs, float(t)) for t in ts]
+    for name, values in zip("PDCR", zip(*levels)):
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            raise ConfigError(
+                f"field {name} is not finite at {bad} of {xs.size * ts.size} "
+                f"grid points for omega={config.family.omega:g}, "
+                f"ell={config.family.ell:g}: the closed form overflows there"
+            )
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "fields.csv"
-    xs = config.grid.x_points()
     lines = ["x,t,P,D,C,R"]
-    for t in config.grid.t_points():
-        p, d, c, r = eval_fields(system, xs, float(t))
+    for t, (p, d, c, r) in zip(ts, levels):
         for i, x in enumerate(xs):
             lines.append(
                 f"{_fmt(x)},{_fmt(t)},{_fmt(p[i])},{_fmt(d[i])},"

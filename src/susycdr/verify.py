@@ -145,15 +145,11 @@ def ode_residual(system: CdrSystem, z_grid) -> ResidualReport:
     z = np.asarray(z_grid, dtype=np.float64)
     alpha = system.alpha
     mu = system.exponents.mu
-    sig = system.diffusion(z)
-    sig_d = system.diffusion_d(z)
-    sig_dd = system.diffusion_dd(z)
-    y = system.solution(z)
-    y_d = system.solution_d(z)
-    y_dd = system.solution_dd(z)
-    tau = system.convection(z)
-    tau_d = system.convection_d(z)
-    rho = system.reaction(z)
+    (y, y_d, y_dd), sig_jet = system.jets(z)
+    sig, sig_d, sig_dd = sig_jet
+    tau = system.convection(z, sig_jet)
+    tau_d = system.convection(z, sig_jet, order=1)
+    rho = system.reaction(z, y, sig)
     r = (
         sig * y_dd
         + (2.0 * sig_d + alpha * z - tau) * y_d
@@ -170,19 +166,15 @@ def _analytic_terms(system, x, t, form):
     """Time derivative, flux divergences, and reaction at one time level."""
     e = system.exponents
     z = x / t ** e.alpha
-    y = system.solution(z)
-    y_d = system.solution_d(z)
-    y_dd = system.solution_dd(z)
-    sig = system.diffusion(z)
-    sig_d = system.diffusion_d(z)
-    sig_dd = system.diffusion_dd(z)
-    c = system.convection(z, form)
-    c_d = system.convection_d(z, form)
+    (y, y_d, y_dd), sig_jet = system.jets(z)
+    sig, sig_d, sig_dd = sig_jet
+    c = system.convection(z, sig_jet, form)
+    c_d = system.convection(z, sig_jet, form, order=1)
     t_mu1 = t ** (e.mu - 1.0)
     dt_p = t_mu1 * (e.mu * y - e.alpha * z * y_d)
     dx_cp = t_mu1 * (c_d * y + c * y_d)
     dxx_dp = t_mu1 * (sig_dd * y + 2.0 * sig_d * y_d + sig * y_dd)
-    reac = t ** system.reaction_time_exponent(form) * system.reaction(z)
+    reac = t ** system.reaction_time_exponent(form) * system.reaction(z, y, sig)
     p = t ** e.mu * y
     return p, dt_p, dx_cp, dxx_dp, reac
 
@@ -191,29 +183,17 @@ def _fd_terms(system, x, t, form, fd_step):
     h_t = fd_step if fd_step is not None else 1e-4 * max(1.0, abs(t))
     h_x = fd_step if fd_step is not None else 1e-4 * np.maximum(1.0, np.abs(x))
 
-    def p_at(tt):
-        return eval_fields(system, x, tt, form)[0]
-
-    def cp_at(xx):
-        p, _, c, _ = eval_fields(system, xx, t, form)
-        return c * p
-
-    def dp_at(xx):
-        p, d, _, _ = eval_fields(system, xx, t, form)
-        return d * p
-
-    dt_p = (
-        -p_at(t + 2 * h_t) + 8 * p_at(t + h_t) - 8 * p_at(t - h_t) + p_at(t - 2 * h_t)
-    ) / (12 * h_t)
-    dx_cp = (
-        -cp_at(x + 2 * h_x) + 8 * cp_at(x + h_x)
-        - 8 * cp_at(x - h_x) + cp_at(x - 2 * h_x)
-    ) / (12 * h_x)
+    # One field evaluation per stencil offset: k*h_t in t, k*h_x in x.
+    p_t = {k: eval_fields(system, x, t + k * h_t, form)[0] for k in (-2, -1, 1, 2)}
+    at_x = {k: eval_fields(system, x + k * h_x, t, form) for k in (-2, -1, 0, 1, 2)}
+    cp = {k: c * p for k, (p, _, c, _) in at_x.items()}
+    dp = {k: d * p for k, (p, d, _, _) in at_x.items()}
+    dt_p = (-p_t[2] + 8 * p_t[1] - 8 * p_t[-1] + p_t[-2]) / (12 * h_t)
+    dx_cp = (-cp[2] + 8 * cp[1] - 8 * cp[-1] + cp[-2]) / (12 * h_x)
     dxx_dp = (
-        -dp_at(x + 2 * h_x) + 16 * dp_at(x + h_x) - 30 * dp_at(x)
-        + 16 * dp_at(x - h_x) - dp_at(x - 2 * h_x)
+        -dp[2] + 16 * dp[1] - 30 * dp[0] + 16 * dp[-1] - dp[-2]
     ) / (12 * h_x * h_x)
-    p, _, _, reac = eval_fields(system, x, t, form)
+    p, _, _, reac = at_x[0]
     return p, dt_p, dx_cp, dxx_dp, reac
 
 
@@ -278,38 +258,16 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int, n_max: int,
 def node_count(state, interval, samples: int = 4096) -> int:
     """Number of interior zeros of ``state`` on ``interval`` = (lo, hi).
 
-    Sign changes on a dense sample are refined by bisection; positive
-    rescaling of the state cannot change the answer.
+    Counts the sign changes between neighbouring samples of a dense grid
+    plus the samples where the state is exactly zero (hi excluded);
+    positive rescaling of the state cannot change the answer.
     """
     lo, hi = interval
     if not 0.0 < lo < hi:
         raise ValueError(f"interval must satisfy 0 < lo < hi, got {interval}")
-    xs = np.linspace(lo, hi, samples)
-    vals = np.asarray(state(xs), dtype=np.float64)
-    count = 0
-    i = 0
-    while i < samples - 1:
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            # node exactly on a sample point; skip its right neighbour
-            count += 1
-            i += 1
-            continue
-        if a * b < 0.0:
-            x_lo, x_hi = xs[i], xs[i + 1]
-            f_lo = a
-            for _ in range(60):
-                mid = 0.5 * (x_lo + x_hi)
-                f_mid = float(state(mid))
-                if f_mid == 0.0:
-                    break
-                if f_lo * f_mid < 0.0:
-                    x_hi = mid
-                else:
-                    x_lo, f_lo = mid, f_mid
-            count += 1
-        i += 1
-    return count
+    vals = np.asarray(state(np.linspace(lo, hi, samples)), dtype=np.float64)
+    return (int(np.count_nonzero(vals[:-1] == 0.0))
+            + int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0)))
 
 
 def positive_diffusion_x_max(system: CdrSystem, t_min: float, x_max: float,

@@ -223,11 +223,8 @@ class TestReducedEquation:
         z = np.linspace(0.2, 8.0, 300)
         e_shared = system.energy
         assert system.sigma_energy == e_shared
-        y = system.solution(z)
-        resid_y = -system.solution_dd(z) + (system.potential_y(z) - e_shared) * y
-        sig = system.diffusion(z)
-        resid_s = -system.diffusion_dd(z) + (
-            system.potential_sigma(z) - e_shared
-        ) * sig
+        (y, _, y_dd), (sig, _, sig_dd) = system.jets(z)
+        resid_y = -y_dd + (system.family.potential(1, z) - e_shared) * y
+        resid_s = -sig_dd + (system.family.potential(3, z) - e_shared) * sig
         assert np.max(np.abs(resid_y)) <= 1e-8 * np.max(np.abs(y))
         assert np.max(np.abs(resid_s)) <= 1e-8 * np.max(np.abs(sig))

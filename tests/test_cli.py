@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from susycdr.cli import DEFAULT_CONFIG, ConfigError, parse_config, run
+from susycdr.cli import DEFAULT_CONFIG, ConfigError, main, parse_config, run
 
 
 def write_config(tmp_path, **overrides):
@@ -59,8 +59,10 @@ class TestParseConfig:
     ({"A": "abc"}, "A"),
     ({"omega": float("nan")}, "omega"),
     ({"alpha": float("inf")}, "alpha"),
+    ({"alpha": 0.0}, "alpha"),
+    ({"alpha": -0.5}, "alpha"),
 ], ids=["tolerance-str", "tolerances-list", "A-null", "A-str", "omega-nan",
-        "alpha-inf"])
+        "alpha-inf", "alpha-zero", "alpha-negative"])
 def test_bad_number_field_exits_2_naming_it(tmp_path, capsys, override, field):
     path = write_config(tmp_path, **override)
     assert run(["--config", str(path), "verify"]) == 2
@@ -71,6 +73,17 @@ def test_bad_number_field_exits_2_naming_it(tmp_path, capsys, override, field):
 def test_bad_tol_exits_2_naming_it(capsys, value):
     assert run(["--tol", value, "verify"]) == 2
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["build"], 0),
+    (["--tol", "nan", "verify"], 2),
+])
+def test_main_exits_with_run_code(monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["susycdr", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == code
 
 
 class TestBuildCommand:
@@ -115,6 +128,22 @@ class TestEvalCommand:
             x, t, p, d, c, r = (float(v) for v in row.split(","))
             pe, de, ce, re = eval_fields(system, x, t)
             assert (p, d, c, r) == (pe, de, ce, re)  # bit-for-bit
+
+    @pytest.mark.parametrize("omega,ell,bad", [(4.0, 285.0, 193),
+                                               (1.0, 300.0, 27)])
+    def test_non_finite_field_exits_2_before_writing(self, tmp_path, capsys,
+                                                     omega, ell, bad):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"omega": omega, "ell": ell, "alpha": 1.0,
+                                      "case": "fpe", "n": 2, "s": 0}))
+        out_dir = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["--config", str(config), "--out", str(out_dir), "eval"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"field P is not finite at {bad} of 1600 grid points" in err
+        assert f"omega={omega:g}, ell={ell:g}" in err
+        assert not out_dir.exists()
 
 
 class TestVerifyCommand:

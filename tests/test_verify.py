@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susycdr import _kernels
 from susycdr.cdr import (CdrSystem, FieldForm, build_case_a, build_case_b,
-                         build_fpe, eval_fields)
+                         build_fpe, eval_fields, swap)
 from susycdr.quantum import (DEFAULT_X_MIN, OscillatorParams,
                              RadialOscillatorFamily)
 from susycdr.verify import (GridSpec, evolve_oracle, node_count, ode_residual,
@@ -117,8 +119,8 @@ class TestOdeResidual:
                   for f in dataclasses.fields(CdrSystem)}
 
         class _Perturbed(CdrSystem):
-            def reaction(self, z):
-                return super().reaction(z) + 0.01 * self.y_state(z)
+            def reaction(self, z, y, sigma):
+                return super().reaction(z, y, sigma) + 0.01 * self.y_state(z)
 
         system = _Perturbed(**fields)
         z = np.linspace(0.2, 8.0, 400)
@@ -236,11 +238,45 @@ class TestNodeCount:
         scaled = lambda x: 7.5 * u(x)
         assert node_count(scaled, (DEFAULT_X_MIN, 10.0)) == 4
 
+    def test_zeros_on_sample_points_count_once(self):
+        # samples 0.5, 1.0, ..., 3.5 hit all three roots exactly
+        cubic = lambda x: (x - 1.0) * (x - 2.0) * (x - 3.0)
+        assert node_count(cubic, (0.5, 3.5), samples=7) == 3
+
     def test_interval_validation(self, family):
         with pytest.raises(ValueError):
             node_count(family.eigenstate(0, 0), (0.0, 5.0))
         with pytest.raises(ValueError):
             node_count(family.eigenstate(0, 0), (3.0, 2.0))
+
+
+_SWEEP_GRID = GridSpec(x_min=0.2, x_max=6.0, nx=60, t_min=0.5, t_max=2.0,
+                       nt=3)
+_COEFF = st.one_of(st.floats(0.2, 5.0), st.floats(-5.0, -0.2))
+
+
+@st.composite
+def _case_b_systems(draw):
+    family = RadialOscillatorFamily(OscillatorParams(
+        draw(st.floats(0.3, 3.0)), draw(st.floats(0.5, 4.0))))
+    n, s = draw(st.integers(0, 12)), draw(st.integers(0, 3))
+    # n' = n + s - s' must stay in [0, 12]
+    s_prime = draw(st.integers(max(0, n + s - 12), min(3, n + s)))
+    return build_case_b(family, draw(st.floats(0.2, 2.0)), n, s,
+                        n + s - s_prime, s_prime, draw(_COEFF), draw(_COEFF))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(_case_b_systems())
+def test_case_b_sweep_residuals_and_swap(system):
+    assert ode_residual(system, _SWEEP_GRID.x_points()).max_rel <= 1e-8
+    assert pde_residual(system, _SWEEP_GRID).max_rel <= 1e-8
+    x = _SWEEP_GRID.x_points()
+    swapped = swap(system)
+    for t in _SWEEP_GRID.t_points():
+        r = eval_fields(system, x, t)[3]
+        r_swapped = eval_fields(swapped, x, t)[3]
+        assert np.max(np.abs(r + r_swapped)) <= 1e-14 * np.max(np.abs(r))
 
 
 class TestPositiveDiffusionXMax:
