@@ -29,12 +29,6 @@ Physical fields, with z = x / t^alpha:
 Every profile comes from y = A u_y and sigma = B u_sigma, read once per
 call (:meth:`CdrSystem.jets` gives both with two derivatives); convection
 and reaction are assembled from the profile values the caller holds.
-
-:class:`FieldForm` selects between this exact assembly and two
-deliberately inconsistent alternates (convection built on sigma instead
-of sigma', reaction carrying t^(1 - alpha)); the alternates exist only so
-the residual oracle in :mod:`susycdr.verify` can demonstrate that they
-violate the equation as soon as t != 1 (reaction) or anywhere (convection).
 """
 
 import enum
@@ -47,7 +41,6 @@ from .similarity import ScalingExponents, exponents_for_class, to_similarity
 
 __all__ = [
     "CaseTag",
-    "FieldForm",
     "CdrSystem",
     "build_fpe",
     "build_case_a",
@@ -61,14 +54,6 @@ class CaseTag(enum.Enum):
     FPE = "fpe"
     CASE_A = "case_a"
     CASE_B = "case_b"
-
-
-class FieldForm(enum.Enum):
-    """Field assembly variants; only EXACT solves the equation for all t."""
-
-    EXACT = "exact"
-    ALT_CONVECTION_PROFILE = "alt_convection_profile"
-    ALT_REACTION_EXPONENT = "alt_reaction_exponent"
 
 
 @dataclass(frozen=True)
@@ -126,12 +111,11 @@ class CdrSystem:
         return tuple((c * u(z), c * u.deriv(z), c * u.deriv2(z)) for c, u in
                      ((self.coeff_a, self.y_state), (self.coeff_b, self.sigma_state)))
 
-    def convection(self, z, sigma_jet, form: FieldForm = FieldForm.EXACT,
-                   order: int = 0):
+    def convection(self, z, sigma_jet, order: int = 0):
         """Convection profile tau = 2 sigma' + alpha z (``order=0``) or its
         slope tau' = 2 sigma'' + alpha (``order=1``), from the diffusion jet
-        (sigma, sigma', ...); ALT_CONVECTION_PROFILE puts sigma for sigma'."""
-        g = sigma_jet[order + (form is not FieldForm.ALT_CONVECTION_PROFILE)]
+        (sigma, sigma', ...)."""
+        g = sigma_jet[order + 1]
         return 2.0 * g + (self.alpha * np.asarray(z) if order == 0 else self.alpha)
 
     def reaction(self, z, y, sigma):
@@ -143,11 +127,6 @@ class CdrSystem:
         dv = (self.family.potential(self.sigma_state.s, z)
               - self.family.potential(self.y_state.s, z))
         return dv * sigma * y
-
-    def reaction_time_exponent(self, form: FieldForm = FieldForm.EXACT) -> float:
-        if form is FieldForm.ALT_REACTION_EXPONENT:
-            return 1.0 - self.alpha
-        return self.exponents.rho_exp
 
     def __repr__(self):
         (n, s), (np_, sp) = self.indices
@@ -215,7 +194,7 @@ def build_case_b(family: RadialOscillatorFamily, alpha: float, n: int, s: int,
     )
 
 
-def eval_fields(system: CdrSystem, x, t, form: FieldForm = FieldForm.EXACT):
+def eval_fields(system: CdrSystem, x, t):
     """Physical fields (P, D, C, R) at (x, t); t > 0, x in the half-line domain."""
     t_arr = np.asarray(t, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
@@ -228,8 +207,8 @@ def eval_fields(system: CdrSystem, x, t, form: FieldForm = FieldForm.EXACT):
     sig_d = system.coeff_b * system.sigma_state.deriv(z)
     p_field = t_arr ** e.mu * y
     d_field = t_arr ** e.delta * sig
-    c_field = t_arr ** e.gamma * system.convection(z, (sig, sig_d), form)
-    r_field = t_arr ** system.reaction_time_exponent(form) * system.reaction(z, y, sig)
+    c_field = t_arr ** e.gamma * system.convection(z, (sig, sig_d))
+    r_field = t_arr ** e.rho_exp * system.reaction(z, y, sig)
     return p_field, d_field, c_field, r_field
 
 

@@ -219,8 +219,9 @@ def _cmd_build(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_eval(config: RunConfig, out_dir: Path) -> int:
-    system = config.build()
+def _finite_levels(system: CdrSystem, config: RunConfig) -> tuple:
+    """Grid x and t, and (P, D, C, R) at each t; ConfigError when a field is
+    not finite at some grid point."""
     xs = config.grid.x_points()
     ts = config.grid.t_points()
     levels = [eval_fields(system, xs, float(t)) for t in ts]
@@ -232,6 +233,11 @@ def _cmd_eval(config: RunConfig, out_dir: Path) -> int:
                 f"grid points for omega={config.family.omega:g}, "
                 f"ell={config.family.ell:g}: the closed form overflows there"
             )
+    return xs, ts, levels
+
+
+def _cmd_eval(config: RunConfig, out_dir: Path) -> int:
+    xs, ts, levels = _finite_levels(config.build(), config)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "fields.csv"
     lines = ["x,t,P,D,C,R"]
@@ -299,6 +305,7 @@ _VERIFY_ROWS = (
 def _cmd_verify(config: RunConfig, tol_override: float | None,
                 out_dir: Path | None) -> int:
     system = config.build()
+    _finite_levels(system, config)
     tol = dict(config.tolerances)
     if tol_override is not None:
         for key in ("schrodinger_rel", "ode_abs", "pde_rel", "orthonormality"):

@@ -1,4 +1,4 @@
-"""Similarity scaling: exponent linkage and lifting profiles to (x, t).
+"""Similarity scaling: the exponent linkage and the similarity variable.
 
 A field with scaling exponent ``e`` and profile ``g`` takes the form
 ``f(x, t) = t^e * g(x / t^alpha)``; scale symmetry ties the exponents of
@@ -15,7 +15,6 @@ __all__ = [
     "ScalingExponents",
     "exponents_for_class",
     "to_similarity",
-    "lift_field",
 ]
 
 
@@ -56,13 +55,3 @@ def to_similarity(x, t, alpha: float):
     if np.any(t_arr <= 0.0):
         raise ValueError(f"similarity variable requires t > 0, got t={t}")
     return x / t_arr ** alpha
-
-
-def lift_field(exponent: float, profile, alpha: float):
-    """Turn a z-profile into the (x, t) field t^exponent * profile(x/t^alpha)."""
-
-    def field(x, t):
-        z = to_similarity(x, t, alpha)
-        return np.asarray(t, dtype=np.float64) ** exponent * profile(z)
-
-    return field

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .cdr import CdrSystem, FieldForm, eval_fields
+from .cdr import CdrSystem, eval_fields
 from .mathfn import QuadratureSpec, gaussian_tail_cutoff, integrate
 from .quantum import Eigenstate, RadialOscillatorFamily
 
@@ -59,6 +59,8 @@ class GridSpec:
             raise ValueError(f"nx must be >= 8, got {self.nx}")
         if self.nt < 2:
             raise ValueError(f"nt must be >= 2, got {self.nt}")
+        if self.nx * self.nt > 10 ** 6:
+            raise ValueError(f"nx * nt must be <= 10**6, got {self.nx} * {self.nt}")
 
     def x_points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
@@ -162,30 +164,30 @@ def ode_residual(system: CdrSystem, z_grid) -> ResidualReport:
     return _report(r, scale, z, "analytic")
 
 
-def _analytic_terms(system, x, t, form):
+def _analytic_terms(system, x, t):
     """Time derivative, flux divergences, and reaction at one time level."""
     e = system.exponents
     z = x / t ** e.alpha
     (y, y_d, y_dd), sig_jet = system.jets(z)
     sig, sig_d, sig_dd = sig_jet
-    c = system.convection(z, sig_jet, form)
-    c_d = system.convection(z, sig_jet, form, order=1)
+    c = system.convection(z, sig_jet)
+    c_d = system.convection(z, sig_jet, order=1)
     t_mu1 = t ** (e.mu - 1.0)
     dt_p = t_mu1 * (e.mu * y - e.alpha * z * y_d)
     dx_cp = t_mu1 * (c_d * y + c * y_d)
     dxx_dp = t_mu1 * (sig_dd * y + 2.0 * sig_d * y_d + sig * y_dd)
-    reac = t ** system.reaction_time_exponent(form) * system.reaction(z, y, sig)
+    reac = t ** e.rho_exp * system.reaction(z, y, sig)
     p = t ** e.mu * y
     return p, dt_p, dx_cp, dxx_dp, reac
 
 
-def _fd_terms(system, x, t, form, fd_step):
+def _fd_terms(system, x, t, fd_step):
     h_t = fd_step if fd_step is not None else 1e-4 * max(1.0, abs(t))
     h_x = fd_step if fd_step is not None else 1e-4 * np.maximum(1.0, np.abs(x))
 
     # One field evaluation per stencil offset: k*h_t in t, k*h_x in x.
-    p_t = {k: eval_fields(system, x, t + k * h_t, form)[0] for k in (-2, -1, 1, 2)}
-    at_x = {k: eval_fields(system, x + k * h_x, t, form) for k in (-2, -1, 0, 1, 2)}
+    p_t = {k: eval_fields(system, x, t + k * h_t)[0] for k in (-2, -1, 1, 2)}
+    at_x = {k: eval_fields(system, x + k * h_x, t) for k in (-2, -1, 0, 1, 2)}
     cp = {k: c * p for k, (p, _, c, _) in at_x.items()}
     dp = {k: d * p for k, (p, d, _, _) in at_x.items()}
     dt_p = (-p_t[2] + 8 * p_t[1] - 8 * p_t[-1] + p_t[-2]) / (12 * h_t)
@@ -198,7 +200,6 @@ def _fd_terms(system, x, t, form, fd_step):
 
 
 def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
-                 form: FieldForm = FieldForm.EXACT,
                  fd_step: float | None = None) -> ResidualReport:
     """Residual of dP/dt + d/dx(CP) - d2/dx2(DP) - R over the (x, t) grid.
 
@@ -216,11 +217,9 @@ def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
     scales = np.empty((grid.nt, grid.nx))
     for j, t in enumerate(ts):
         if mode == "analytic":
-            p, dt_p, dx_cp, dxx_dp, reac = _analytic_terms(system, x, float(t), form)
+            p, dt_p, dx_cp, dxx_dp, reac = _analytic_terms(system, x, float(t))
         else:
-            p, dt_p, dx_cp, dxx_dp, reac = _fd_terms(
-                system, x, float(t), form, fd_step
-            )
+            p, dt_p, dx_cp, dxx_dp, reac = _fd_terms(system, x, float(t), fd_step)
         residuals[j] = dt_p + dx_cp - dxx_dp - reac
         scales[j] = np.maximum.reduce(
             [np.abs(p), np.abs(dx_cp), np.abs(dxx_dp), np.abs(reac)]
@@ -228,8 +227,8 @@ def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
     return _report(residuals, scales, x, mode, t=ts)
 
 
-def orthonormality_matrix(family: RadialOscillatorFamily, s: int, n_max: int,
-                          spec: QuadratureSpec | None = None) -> np.ndarray:
+def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
+                          n_max: int) -> np.ndarray:
     """Gram matrix G[m, n] = integral of u_m u_n over (0, inf), m, n <= n_max.
 
     Every entry is computed independently (no symmetry shortcut); the
@@ -237,14 +236,13 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int, n_max: int,
     """
     if n_max > 8:
         raise ValueError(f"n_max must be <= 8, got {n_max}")
-    if spec is None:
-        # Widened cut: the polynomial factor in front of the Gaussian
-        # pushes the negligible-tail point outward for higher levels.
-        spec = QuadratureSpec(
-            abs_tol=1e-10,
-            rel_tol=1e-10,
-            truncation_x_max=gaussian_tail_cutoff(family.omega, safety=1.35),
-        )
+    # Widened cut: the polynomial factor in front of the Gaussian
+    # pushes the negligible-tail point outward for higher levels.
+    spec = QuadratureSpec(
+        abs_tol=1e-10,
+        rel_tol=1e-10,
+        truncation_x_max=gaussian_tail_cutoff(family.omega, safety=1.35),
+    )
     states = [family.eigenstate(s, n) for n in range(n_max + 1)]
     gram = np.empty((n_max + 1, n_max + 1))
     for m in range(n_max + 1):
@@ -258,34 +256,36 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int, n_max: int,
 def node_count(state, interval, samples: int = 4096) -> int:
     """Number of interior zeros of ``state`` on ``interval`` = (lo, hi).
 
-    Counts the sign changes between neighbouring samples of a dense grid
-    plus the samples where the state is exactly zero (hi excluded);
-    positive rescaling of the state cannot change the answer.
+    Counts the sign changes between consecutive non-zero samples of a
+    dense grid: a sample that underflows to zero is no node, and one on a
+    true root still counts once, as the signs on either side differ.
+    Positive rescaling of the state cannot change the answer.
     """
     lo, hi = interval
     if not 0.0 < lo < hi:
         raise ValueError(f"interval must satisfy 0 < lo < hi, got {interval}")
     vals = np.asarray(state(np.linspace(lo, hi, samples)), dtype=np.float64)
-    return (int(np.count_nonzero(vals[:-1] == 0.0))
-            + int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0)))
+    vals = vals[vals != 0.0]
+    return int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0))
 
 
-def positive_diffusion_x_max(system: CdrSystem, t_min: float, x_max: float,
-                             margin: float = 0.95, samples: int = 4096) -> float:
+def positive_diffusion_x_max(system: CdrSystem, t_min: float,
+                             x_max: float) -> float:
     """Largest x below ``x_max`` with D(x, t) > 0 for every t >= t_min.
 
     Time stepping is only well posed where the diffusion coefficient is
     positive; a diffusion profile with nodes turns the equation
     backward-parabolic beyond its first zero, and no initial-value scheme
     converges there. The first zero z* of the diffusion profile bounds
-    the usable region by x < z* * t_min^alpha (for alpha > 0); ``margin``
-    keeps a safety gap from the degenerate boundary.
+    the usable region by x < z* * t_min^alpha (for alpha > 0); the bound
+    returned keeps a 5 % gap from the degenerate boundary. z* is bracketed
+    on 4096 samples, then bisected.
     """
     alpha = system.alpha
     if alpha <= 0:
         raise ValueError("positive_diffusion_x_max requires alpha > 0")
     z_hi = x_max / t_min ** alpha
-    zs = np.linspace(z_hi / samples, z_hi, samples)
+    zs = np.linspace(z_hi / 4096, z_hi, 4096)
     sig = np.asarray(system.diffusion(zs))
     sign_change = np.nonzero(sig[:-1] * sig[1:] < 0.0)[0]
     if sign_change.size == 0:
@@ -303,7 +303,7 @@ def positive_diffusion_x_max(system: CdrSystem, t_min: float, x_max: float,
             z_up = mid
         else:
             z_lo, f_lo = mid, f_mid
-    return min(x_max, margin * z_lo * t_min ** alpha)
+    return min(x_max, 0.95 * z_lo * t_min ** alpha)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,45 @@
+"""Test doubles shared by the test modules.
+
+The two deliberately inconsistent field assemblies below let the residual
+oracles show that they catch a wrong system: one carries the reaction
+with t^(1 - alpha) instead of t^(mu - 1) (agreeing only at t = 1), the
+other builds the convection on sigma where the exact profile uses sigma'.
+"""
+
+import dataclasses
+
+import pytest
+
+from susycdr.cdr import CdrSystem
+from susycdr.similarity import ScalingExponents
+
+
+class _AltReactionExponents(ScalingExponents):
+    @property
+    def rho_exp(self) -> float:
+        return 1.0 - self.alpha
+
+
+class _AltConvectionSystem(CdrSystem):
+    def convection(self, z, sigma_jet, order=0):
+        # Shifted by one place, the jet puts sigma where the exact code reads sigma'.
+        return super().convection(z, (None, *sigma_jet), order)
+
+
+@pytest.fixture
+def alt_reaction_exponent():
+    """Factory: a system's double whose reaction carries t^(1 - alpha)."""
+    def make(system):
+        e = system.exponents
+        return dataclasses.replace(
+            system, exponents=_AltReactionExponents(alpha=e.alpha, mu=e.mu))
+    return make
+
+
+@pytest.fixture
+def alt_convection_profile():
+    """Factory: a system's double whose convection is 2 sigma + alpha z."""
+    def make(system):
+        return _AltConvectionSystem(**{
+            f.name: getattr(system, f.name) for f in dataclasses.fields(CdrSystem)})
+    return make

@@ -12,8 +12,8 @@ import itertools
 import numpy as np
 import pytest
 
-from susycdr.cdr import (FieldForm, build_case_a, build_case_b, build_fpe,
-                         eval_fields, swap)
+from susycdr.cdr import (build_case_a, build_case_b, build_fpe, eval_fields,
+                         swap)
 from susycdr.cli import run
 from susycdr.quantum import (DEFAULT_X_MIN, OscillatorParams,
                              RadialOscillatorFamily, darboux_partner)
@@ -118,11 +118,12 @@ def test_criterion_5_pde_residual():
              f"fd orders = {orders[0]:.2f}, {orders[1]:.2f} >= 3.5")
 
 
-def test_criterion_6_inconsistent_forms_detected():
+def test_criterion_6_inconsistent_forms_detected(alt_reaction_exponent,
+                                                 alt_convection_profile):
     fig1 = shipped_systems()[4][1]
     t2_grid = GridSpec(x_min=0.5, x_max=4.0, nx=120, t_min=2.0, t_max=2.0, nt=2)
-    alt_r = pde_residual(fig1, t2_grid, form=FieldForm.ALT_REACTION_EXPONENT)
-    alt_c = pde_residual(fig1, t2_grid, form=FieldForm.ALT_CONVECTION_PROFILE)
+    alt_r = pde_residual(alt_reaction_exponent(fig1), t2_grid)
+    alt_c = pde_residual(alt_convection_profile(fig1), t2_grid)
     exact = pde_residual(fig1, PDE_GRID)
     ok = alt_r.max_rel >= 0.1 and alt_c.max_rel >= 0.1 and exact.max_rel <= 1e-8
     _verdict(6, "inconsistent-form detection", ok,

@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from susycdr.cdr import (CaseTag, FieldForm, build_case_a, build_case_b,
-                         build_fpe, eval_fields, swap)
+from susycdr.cdr import (CaseTag, build_case_a, build_case_b, build_fpe,
+                         eval_fields, swap)
 from susycdr.quantum import OscillatorParams, RadialOscillatorFamily
 from susycdr.verify import GridSpec, ode_residual, pde_residual
 
@@ -123,16 +123,18 @@ class TestEvalFields:
         np.testing.assert_allclose(c1, eps ** e.gamma * c0, rtol=1e-12)
         np.testing.assert_allclose(r1, eps ** e.rho_exp * r0, rtol=1e-12)
 
-    def test_alt_forms_coincide_with_exact_at_unit_time(self, fig1):
+    def test_alt_forms_coincide_with_exact_at_unit_time(
+            self, fig1, alt_reaction_exponent):
         # the reaction-exponent alternate differs only through the power
         # of t, so at t = 1 it must agree exactly
         exact = eval_fields(fig1, XS, 1.0)[3]
-        alt = eval_fields(fig1, XS, 1.0, form=FieldForm.ALT_REACTION_EXPONENT)[3]
+        alt = eval_fields(alt_reaction_exponent(fig1), XS, 1.0)[3]
         np.testing.assert_array_equal(exact, alt)
 
-    def test_alt_reaction_differs_away_from_unit_time(self, fig1):
+    def test_alt_reaction_differs_away_from_unit_time(
+            self, fig1, alt_reaction_exponent):
         exact = eval_fields(fig1, XS, 2.0)[3]
-        alt = eval_fields(fig1, XS, 2.0, form=FieldForm.ALT_REACTION_EXPONENT)[3]
+        alt = eval_fields(alt_reaction_exponent(fig1), XS, 2.0)[3]
         assert np.max(np.abs(exact - alt)) > 0.01
 
     def test_linearity_in_a(self, family, fig1):

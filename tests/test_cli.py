@@ -61,8 +61,9 @@ class TestParseConfig:
     ({"alpha": float("inf")}, "alpha"),
     ({"alpha": 0.0}, "alpha"),
     ({"alpha": -0.5}, "alpha"),
+    ({"grid": {"nx": 10 ** 9}}, "grid"),
 ], ids=["tolerance-str", "tolerances-list", "A-null", "A-str", "omega-nan",
-        "alpha-inf", "alpha-zero", "alpha-negative"])
+        "alpha-inf", "alpha-zero", "alpha-negative", "grid-too-large"])
 def test_bad_number_field_exits_2_naming_it(tmp_path, capsys, override, field):
     path = write_config(tmp_path, **override)
     assert run(["--config", str(path), "verify"]) == 2
@@ -129,16 +130,20 @@ class TestEvalCommand:
             pe, de, ce, re = eval_fields(system, x, t)
             assert (p, d, c, r) == (pe, de, ce, re)  # bit-for-bit
 
-    @pytest.mark.parametrize("omega,ell,bad", [(4.0, 285.0, 193),
-                                               (1.0, 300.0, 27)])
+    @pytest.mark.parametrize("command,omega,ell,bad", [
+        pytest.param("eval", 4.0, 285.0, 193, id="4.0-285.0-193"),
+        pytest.param("eval", 1.0, 300.0, 27, id="1.0-300.0-27"),
+        pytest.param("verify", 4.0, 285.0, 193, id="verify-4.0-285.0-193"),
+        pytest.param("verify", 1.0, 300.0, 27, id="verify-1.0-300.0-27"),
+    ])
     def test_non_finite_field_exits_2_before_writing(self, tmp_path, capsys,
-                                                     omega, ell, bad):
+                                                     command, omega, ell, bad):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"omega": omega, "ell": ell, "alpha": 1.0,
                                       "case": "fpe", "n": 2, "s": 0}))
         out_dir = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
-            code = run(["--config", str(config), "--out", str(out_dir), "eval"])
+            code = run(["--config", str(config), "--out", str(out_dir), command])
         assert code == 2
         err = capsys.readouterr().err
         assert f"field P is not finite at {bad} of 1600 grid points" in err
@@ -232,6 +237,18 @@ class TestConsoleEntry:
         )
         assert out.returncode == 0
         assert "case_b" in out.stdout
+
+    @pytest.mark.parametrize("command", ["verify", "eval"])
+    def test_never_imports_scipy(self, tmp_path, command):
+        # importing scipy.linalg alone doubles the resident set
+        code = ("import sys\n"
+                "from susycdr.cli import run\n"
+                f"code = run(['--out', {str(tmp_path)!r}, {command!r}])\n"
+                "print(code, 'scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "0 False"
 
     def test_unknown_command_exits_2(self):
         out = subprocess.run(

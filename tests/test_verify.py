@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susycdr import _kernels
-from susycdr.cdr import (CdrSystem, FieldForm, build_case_a, build_case_b,
-                         build_fpe, eval_fields, swap)
+from susycdr.cdr import (CdrSystem, build_case_a, build_case_b, build_fpe,
+                         eval_fields, swap)
+from susycdr.mathfn import gaussian_tail_cutoff
 from susycdr.quantum import (DEFAULT_X_MIN, OscillatorParams,
                              RadialOscillatorFamily)
 from susycdr.verify import (GridSpec, evolve_oracle, node_count, ode_residual,
@@ -137,19 +138,20 @@ class TestPdeResidual:
     def test_fig1_analytic(self, fig1):
         assert pde_residual(fig1, SMALL_GRID).max_rel <= 1e-8
 
-    def test_alt_reaction_exponent_fails_off_unit_time(self, fig1):
+    def test_alt_reaction_exponent_fails_off_unit_time(
+            self, fig1, alt_reaction_exponent):
         grid = GridSpec(x_min=0.5, x_max=4.0, nx=50, t_min=2.0, t_max=2.0, nt=2)
-        rep = pde_residual(fig1, grid, form=FieldForm.ALT_REACTION_EXPONENT)
+        rep = pde_residual(alt_reaction_exponent(fig1), grid)
         assert rep.max_rel >= 0.1
 
-    def test_alt_reaction_exponent_passes_at_unit_time(self, fig1):
+    def test_alt_reaction_exponent_passes_at_unit_time(
+            self, fig1, alt_reaction_exponent):
         grid = GridSpec(x_min=0.5, x_max=4.0, nx=50, t_min=1.0, t_max=1.0, nt=2)
-        rep = pde_residual(fig1, grid, form=FieldForm.ALT_REACTION_EXPONENT)
+        rep = pde_residual(alt_reaction_exponent(fig1), grid)
         assert rep.max_rel <= 1e-8
 
-    def test_alt_convection_profile_fails(self, fig1):
-        rep = pde_residual(fig1, SMALL_GRID,
-                           form=FieldForm.ALT_CONVECTION_PROFILE)
+    def test_alt_convection_profile_fails(self, fig1, alt_convection_profile):
+        rep = pde_residual(alt_convection_profile(fig1), SMALL_GRID)
         assert rep.max_rel >= 0.1
 
     def test_fd_mode_converges_to_analytic_at_fourth_order(self, fig1):
@@ -169,14 +171,16 @@ class TestPdeResidual:
         assert rep.mode == "finite-difference"
         assert rep.max_rel <= 1e-5
 
-    def test_residual_linear_in_solution_scale(self, family):
+    def test_residual_linear_in_solution_scale(self, family,
+                                               alt_reaction_exponent):
         base = build_case_b(family, 1.0, 3, 1, 1, 3, 1.0, 3.0)
         scaled = build_case_b(family, 1.0, 3, 1, 1, 3, 4.0, 3.0)
+        # the alternate reaction exponent leaves a nonzero residual
+        base, scaled = alt_reaction_exponent(base), alt_reaction_exponent(scaled)
         x = SMALL_GRID.x_points()
         for t in (0.5, 2.0):
-            form = FieldForm.ALT_REACTION_EXPONENT  # nonzero residual
-            pb, dtb, cxb, dxb, rb = _analytic_terms(base, x, t, form)
-            ps, dts, cxs, dxs, rs = _analytic_terms(scaled, x, t, form)
+            pb, dtb, cxb, dxb, rb = _analytic_terms(base, x, t)
+            ps, dts, cxs, dxs, rs = _analytic_terms(scaled, x, t)
             res_b = dtb + cxb - dxb - rb
             res_s = dts + cxs - dxs - rs
             np.testing.assert_allclose(res_s, 4.0 * res_b, rtol=1e-12)
@@ -191,21 +195,22 @@ class TestPdeResidual:
         assert SMALL_GRID.x_min <= x <= SMALL_GRID.x_max
         assert SMALL_GRID.t_min <= t <= SMALL_GRID.t_max
 
-    def test_worst_point_is_the_largest_relative_residual(self, fig1):
-        form = FieldForm.ALT_REACTION_EXPONENT
+    def test_worst_point_is_the_largest_relative_residual(
+            self, fig1, alt_reaction_exponent):
+        alt = alt_reaction_exponent(fig1)
         grid = GridSpec(x_min=0.5, x_max=4.0, nx=50, t_min=0.5, t_max=2.0,
                         nt=7)
         x = grid.x_points()
         best = None
         for t in grid.t_points():
-            p, dt_p, dx_cp, dxx_dp, reac = _analytic_terms(fig1, x, t, form)
+            p, dt_p, dx_cp, dxx_dp, reac = _analytic_terms(alt, x, t)
             scale = np.maximum.reduce(
                 [np.abs(p), np.abs(dx_cp), np.abs(dxx_dp), np.abs(reac)])
             rel = np.abs(dt_p + dx_cp - dxx_dp - reac) / np.maximum(scale, 1e-30)
             i = int(np.argmax(rel))
             if best is None or rel[i] > best[0]:
                 best = (rel[i], (float(x[i]), float(t)))
-        rep = pde_residual(fig1, grid, form=form)
+        rep = pde_residual(alt, grid)
         assert (rep.max_rel, rep.worst_point) == best
 
 
@@ -242,6 +247,15 @@ class TestNodeCount:
         # samples 0.5, 1.0, ..., 3.5 hit all three roots exactly
         cubic = lambda x: (x - 1.0) * (x - 2.0) * (x - 3.0)
         assert node_count(cubic, (0.5, 3.5), samples=7) == 3
+
+    def test_underflowed_samples_are_no_nodes(self):
+        # At ell = 300 the state underflows to 0 below x = 1.3 and overflows
+        # beyond x = 15; L_2^(300.5) has its roots at x = 23.9 and 25.3.
+        u = RadialOscillatorFamily(OscillatorParams(1.0, 300.0)).eigenstate(0, 2)
+        cut = gaussian_tail_cutoff(1.0, safety=1.35)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert node_count(u, (DEFAULT_X_MIN, 30.0)) == 2
+            assert node_count(u, (DEFAULT_X_MIN, cut)) == 0
 
     def test_interval_validation(self, family):
         with pytest.raises(ValueError):
@@ -409,6 +423,11 @@ class TestGridSpec:
             GridSpec(nx=4)
         with pytest.raises(ValueError):
             GridSpec(nt=1)
+        with pytest.raises(ValueError, match="nx \\* nt"):
+            GridSpec(nx=10 ** 9)
+        with pytest.raises(ValueError, match="nx \\* nt"):
+            GridSpec(nx=5001, nt=200)
+        GridSpec(nx=5000, nt=200)  # 10**6 points, the largest grid accepted
 
     def test_points(self):
         grid = GridSpec(x_min=1.0, x_max=2.0, nx=11, t_min=1.0, t_max=3.0, nt=3)
