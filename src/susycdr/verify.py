@@ -231,8 +231,12 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
                           n_max: int) -> np.ndarray:
     """Gram matrix G[m, n] = integral of u_m u_n over (0, inf), m, n <= n_max.
 
-    Every entry is computed independently (no symmetry shortcut); the
-    quadrature is the arbiter of the normalization convention.
+    Every entry runs its own adaptive quadrature (no symmetry shortcut);
+    the quadrature is the arbiter of the normalization convention. The
+    panels of all entries bisect one interval, so the states are
+    evaluated once per distinct node array and their values shared for
+    the rest of the call; each entry integrates the same floats as if it
+    had evaluated them itself.
     """
     if n_max > 8:
         raise ValueError(f"n_max must be <= 8, got {n_max}")
@@ -244,12 +248,21 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
         truncation_x_max=gaussian_tail_cutoff(family.omega, safety=1.35),
     )
     states = [family.eigenstate(s, n) for n in range(n_max + 1)]
+    memo = {}
+
+    def values(xx):
+        key = xx.tobytes()
+        if key not in memo:
+            memo[key] = [state(xx) for state in states]
+        return memo[key]
+
     gram = np.empty((n_max + 1, n_max + 1))
     for m in range(n_max + 1):
         for n in range(n_max + 1):
-            gram[m, n] = integrate(
-                lambda xx: states[m](xx) * states[n](xx), 0.0, spec
-            )
+            def integrand(xx):
+                vals = values(xx)
+                return vals[m] * vals[n]
+            gram[m, n] = integrate(integrand, 0.0, spec)
     return gram
 
 

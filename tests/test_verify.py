@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 
-from susycdr import _kernels
+from susycdr import _kernels, quantum, verify
 from susycdr.cdr import (CdrSystem, build_case_a, build_case_b, build_fpe,
                          eval_fields, swap)
-from susycdr.mathfn import gaussian_tail_cutoff
+from susycdr.mathfn import QuadratureSpec, gaussian_tail_cutoff, integrate
 from susycdr.quantum import (DEFAULT_X_MIN, OscillatorParams,
                              RadialOscillatorFamily)
 from susycdr.verify import (GridSpec, evolve_oracle, node_count, ode_residual,
@@ -226,6 +227,66 @@ class TestOrthonormality:
     def test_rejects_large_n_max(self, family):
         with pytest.raises(ValueError):
             orthonormality_matrix(family, s=0, n_max=9)
+
+    @staticmethod
+    def _per_entry_gram(family, s, n_max):
+        """Each entry's quadrature evaluating both states itself."""
+        spec = QuadratureSpec(
+            abs_tol=1e-10, rel_tol=1e-10,
+            truncation_x_max=gaussian_tail_cutoff(family.omega, safety=1.35))
+        states = [family.eigenstate(s, n) for n in range(n_max + 1)]
+        return np.array([[integrate(lambda xx: states[m](xx) * states[n](xx),
+                                    0.0, spec)
+                          for n in range(n_max + 1)]
+                         for m in range(n_max + 1)])
+
+    @pytest.mark.parametrize("s", [0, 3])
+    def test_bit_identical_to_per_entry_evaluation(self, family, s):
+        # Same omega, so both calls integrate over the same node arrays:
+        # state values kept from the first call would spoil the second.
+        other = RadialOscillatorFamily(OscillatorParams(1.0, 2.5))
+        grams = [orthonormality_matrix(fam, s, n_max=8)
+                 for fam in (family, other)]
+        for fam, gram in zip((family, other), grams):
+            assert np.array_equal(gram, self._per_entry_gram(fam, s, 8))
+
+    def test_one_quadrature_per_entry_and_shared_state_values(self,
+                                                              monkeypatch):
+        counts = {"integrate": 0, "state": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(verify, "integrate",
+                            counted("integrate", verify.integrate))
+        monkeypatch.setattr(quantum.Eigenstate, "__call__",
+                            counted("state", quantum.Eigenstate.__call__))
+        family = RadialOscillatorFamily(OscillatorParams(1.1, 1.2))
+        orthonormality_matrix(family, s=0, n_max=8)
+        assert counts["integrate"] == 81
+        # one call per state per distinct node array: 42 arrays here
+        assert counts["state"] <= 9 * 64
+
+    @pytest.mark.parametrize("omega, ell, s",
+                             [(1.0, 1.0, 0), (0.3, 4.0, 1), (3.0, 0.5, 3)])
+    def test_matches_gauss_laguerre_gram(self, omega, ell, s):
+        # In q = omega x^2 / 2, u_m u_n dx = c_m c_n q^a e^-q L_m^a L_n^a dq
+        # with a = ell + s + 1/2 and c_n^2 = n! / Gamma(n + a + 1): a rule
+        # with n_max + 2 nodes is exact for every entry.
+        n_max = 8
+        a = ell + s + 0.5
+        nodes, weights = roots_genlaguerre(n_max + 2, a)
+        ns = np.arange(n_max + 1)
+        coef = np.exp(0.5 * (gammaln(ns + 1.0) - gammaln(ns + a + 1.0)))
+        lag = coef[:, None] * np.array([eval_genlaguerre(n, a, nodes)
+                                        for n in ns])
+        exact = (lag * weights) @ lag.T
+        family = RadialOscillatorFamily(OscillatorParams(omega, ell))
+        gram = orthonormality_matrix(family, s, n_max)
+        assert np.max(np.abs(gram - exact)) <= 1e-10
 
 
 class TestNodeCount:
