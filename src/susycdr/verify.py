@@ -8,6 +8,7 @@ initial data alone. A closed-form construction is accepted only when all
 of these agree.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,10 @@ __all__ = [
 # Floor added to local scales before dividing, so relative residuals stay
 # finite where every field vanishes (large x).
 _SCALE_FLOOR = 1e-30
+
+# Time levels per broadcast field evaluation in pde_residual and
+# _evolve_single; blocks bound their temporaries (and peak RSS).
+_FIELD_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -164,25 +169,38 @@ def ode_residual(system: CdrSystem, z_grid) -> ResidualReport:
     return _report(r, scale, z, "analytic")
 
 
-def _analytic_terms(system, x, t):
-    """Time derivative, flux divergences, and reaction at one time level."""
+def _time_column(ts, exponent):
+    """Column of t ** exponent per level, each taken with Python's float power.
+
+    numpy's vectorized power can differ from it in the last bit, so the
+    blocked terms keep the bits of a per-level evaluation.
+    """
+    return np.array([t ** exponent for t in ts.tolist()])[:, None]
+
+
+def _analytic_terms(system, x, ts):
+    """Time derivative, flux divergences, and reaction at the levels ``ts``,
+    as (len(ts), len(x)) arrays."""
     e = system.exponents
-    z = x / t ** e.alpha
+    z = x[None, :] / _time_column(ts, e.alpha)
     (y, y_d, y_dd), sig_jet = system.jets(z)
     sig, sig_d, sig_dd = sig_jet
     c = system.convection(z, sig_jet)
     c_d = system.convection(z, sig_jet, order=1)
-    t_mu1 = t ** (e.mu - 1.0)
+    t_mu1 = _time_column(ts, e.mu - 1.0)
     dt_p = t_mu1 * (e.mu * y - e.alpha * z * y_d)
     dx_cp = t_mu1 * (c_d * y + c * y_d)
     dxx_dp = t_mu1 * (sig_dd * y + 2.0 * sig_d * y_d + sig * y_dd)
-    reac = t ** e.rho_exp * system.reaction(z, y, sig)
-    p = t ** e.mu * y
+    reac = _time_column(ts, e.rho_exp) * system.reaction(z, y, sig)
+    p = _time_column(ts, e.mu) * y
     return p, dt_p, dx_cp, dxx_dp, reac
 
 
-def _fd_terms(system, x, t, fd_step):
-    h_t = fd_step if fd_step is not None else 1e-4 * max(1.0, abs(t))
+def _fd_terms(system, x, ts, fd_step):
+    """Stencil terms at the levels ``ts``, as (len(ts), len(x)) arrays."""
+    t = ts[:, None]
+    x = x[None, :]
+    h_t = fd_step if fd_step is not None else 1e-4 * np.maximum(1.0, np.abs(t))
     h_x = fd_step if fd_step is not None else 1e-4 * np.maximum(1.0, np.abs(x))
 
     # One field evaluation per stencil offset: k*h_t in t, k*h_x in x.
@@ -206,22 +224,31 @@ def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
     ``mode="analytic"`` assembles every term from the closed-form profile
     derivatives; ``mode="finite-difference"`` differentiates the physical
     fields numerically (4th-order stencils, step ``fd_step`` or the
-    per-point default). ``max_rel`` normalizes pointwise by
+    per-point default; a given step must be a finite number above 0).
+    ``max_rel`` normalizes pointwise by
     max(|P|, |d/dx(CP)|, |d2/dx2(DP)|, |R|) plus a tiny floor.
+
+    The terms are evaluated over blocks of ``_FIELD_BLOCK`` time levels,
+    with the analytic time factors taken level by level, so every value
+    equals that of a per-level evaluation.
     """
     if mode not in ("analytic", "finite-difference"):
         raise ValueError(f"unknown mode {mode!r}")
+    if fd_step is not None and not (math.isfinite(fd_step) and fd_step > 0.0):
+        raise ValueError(f"fd_step must be a finite number above 0, got {fd_step}")
     x = grid.x_points()
     ts = grid.t_points()
     residuals = np.empty((grid.nt, grid.nx))
     scales = np.empty((grid.nt, grid.nx))
-    for j, t in enumerate(ts):
+    # Blocked: one broadcast over all levels holds about 20 (nt, nx) temporaries.
+    for start in range(0, grid.nt, _FIELD_BLOCK):
+        block = slice(start, start + _FIELD_BLOCK)
         if mode == "analytic":
-            p, dt_p, dx_cp, dxx_dp, reac = _analytic_terms(system, x, float(t))
+            p, dt_p, dx_cp, dxx_dp, reac = _analytic_terms(system, x, ts[block])
         else:
-            p, dt_p, dx_cp, dxx_dp, reac = _fd_terms(system, x, float(t), fd_step)
-        residuals[j] = dt_p + dx_cp - dxx_dp - reac
-        scales[j] = np.maximum.reduce(
+            p, dt_p, dx_cp, dxx_dp, reac = _fd_terms(system, x, ts[block], fd_step)
+        residuals[block] = dt_p + dx_cp - dxx_dp - reac
+        scales[block] = np.maximum.reduce(
             [np.abs(p), np.abs(dx_cp), np.abs(dxx_dp), np.abs(reac)]
         )
     return _report(residuals, scales, x, mode, t=ts)
@@ -336,10 +363,6 @@ class EvolveReport:
     @property
     def l2_error(self) -> float:
         return self.entries[0][2]
-
-
-# Time levels per broadcast eval_fields call in _evolve_single.
-_FIELD_BLOCK = 16
 
 
 def _evolve_single(system, x, t0, t1, nt):

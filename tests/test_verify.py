@@ -19,7 +19,7 @@ from susycdr.quantum import (DEFAULT_X_MIN, OscillatorParams,
 from susycdr.verify import (GridSpec, evolve_oracle, node_count, ode_residual,
                             orthonormality_matrix, pde_residual,
                             positive_diffusion_x_max, schrodinger_residual)
-from susycdr.verify import _analytic_terms
+from susycdr.verify import _analytic_terms, _fd_terms
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +131,41 @@ class TestOdeResidual:
         assert rep.max_abs == pytest.approx(expected, rel=1e-10)
 
 
+def _per_level_analytic_terms(system, x, t):
+    """Reference: the analytic PDE terms at one level, Python-float powers of t."""
+    e = system.exponents
+    z = x / t ** e.alpha
+    (y, y_d, y_dd), sig_jet = system.jets(z)
+    sig, sig_d, sig_dd = sig_jet
+    c = system.convection(z, sig_jet)
+    c_d = system.convection(z, sig_jet, order=1)
+    t_mu1 = t ** (e.mu - 1.0)
+    return (
+        t ** e.mu * y,
+        t_mu1 * (e.mu * y - e.alpha * z * y_d),
+        t_mu1 * (c_d * y + c * y_d),
+        t_mu1 * (sig_dd * y + 2.0 * sig_d * y_d + sig * y_dd),
+        t ** e.rho_exp * system.reaction(z, y, sig),
+    )
+
+
+def _per_level_fd_terms(system, x, t, fd_step):
+    """Reference: the finite-difference PDE terms at one level."""
+    h_t = fd_step if fd_step is not None else 1e-4 * max(1.0, abs(t))
+    h_x = fd_step if fd_step is not None else 1e-4 * np.maximum(1.0, np.abs(x))
+    p_t = {k: eval_fields(system, x, t + k * h_t)[0] for k in (-2, -1, 1, 2)}
+    at_x = {k: eval_fields(system, x + k * h_x, t) for k in (-2, -1, 0, 1, 2)}
+    cp = {k: c * p for k, (p, _, c, _) in at_x.items()}
+    dp = {k: d * p for k, (p, d, _, _) in at_x.items()}
+    return (
+        at_x[0][0],
+        (-p_t[2] + 8 * p_t[1] - 8 * p_t[-1] + p_t[-2]) / (12 * h_t),
+        (-cp[2] + 8 * cp[1] - 8 * cp[-1] + cp[-2]) / (12 * h_x),
+        (-dp[2] + 16 * dp[1] - 30 * dp[0] + 16 * dp[-1] - dp[-2]) / (12 * h_x * h_x),
+        at_x[0][3],
+    )
+
+
 class TestPdeResidual:
     def test_case_a_analytic(self, family):
         system = build_case_a(family, 1.0, n=1, m=0)
@@ -180,8 +215,8 @@ class TestPdeResidual:
         base, scaled = alt_reaction_exponent(base), alt_reaction_exponent(scaled)
         x = SMALL_GRID.x_points()
         for t in (0.5, 2.0):
-            pb, dtb, cxb, dxb, rb = _analytic_terms(base, x, t)
-            ps, dts, cxs, dxs, rs = _analytic_terms(scaled, x, t)
+            pb, dtb, cxb, dxb, rb = _analytic_terms(base, x, np.array([t]))
+            ps, dts, cxs, dxs, rs = _analytic_terms(scaled, x, np.array([t]))
             res_b = dtb + cxb - dxb - rb
             res_s = dts + cxs - dxs - rs
             np.testing.assert_allclose(res_s, 4.0 * res_b, rtol=1e-12)
@@ -204,7 +239,8 @@ class TestPdeResidual:
         x = grid.x_points()
         best = None
         for t in grid.t_points():
-            p, dt_p, dx_cp, dxx_dp, reac = _analytic_terms(alt, x, t)
+            p, dt_p, dx_cp, dxx_dp, reac = (
+                term.ravel() for term in _analytic_terms(alt, x, np.array([t])))
             scale = np.maximum.reduce(
                 [np.abs(p), np.abs(dx_cp), np.abs(dxx_dp), np.abs(reac)])
             rel = np.abs(dt_p + dx_cp - dxx_dp - reac) / np.maximum(scale, 1e-30)
@@ -213,6 +249,55 @@ class TestPdeResidual:
                 best = (rel[i], (float(x[i]), float(t)))
         rep = pde_residual(alt, grid)
         assert (rep.max_rel, rep.worst_point) == best
+
+    @pytest.mark.parametrize("nt", [5, 16, 37])
+    def test_blocked_terms_bit_identical_to_per_level_reference(
+            self, family, fig1, alt_reaction_exponent, alt_convection_profile,
+            nt):
+        # nt = 5, 16, 37: the grid ends inside, on and across block edges
+        systems = [build_fpe(family, 1, 2, 0.8), build_case_a(family, 1.3, 2, 4),
+                   fig1, alt_reaction_exponent(fig1), alt_convection_profile(fig1)]
+        grid = GridSpec(x_min=0.3, x_max=5.0, nx=40, t_min=0.4, t_max=2.9, nt=nt)
+        x, ts = grid.x_points(), grid.t_points()
+        for system in systems:
+            for mode, fd_step in (("analytic", None), ("finite-difference", None),
+                                  ("finite-difference", 1e-3)):
+                if mode == "analytic":
+                    terms = _analytic_terms(system, x, ts)
+                    levels = [_per_level_analytic_terms(system, x, t)
+                              for t in ts.tolist()]
+                else:
+                    terms = _fd_terms(system, x, ts, fd_step)
+                    levels = [_per_level_fd_terms(system, x, t, fd_step)
+                              for t in ts.tolist()]
+                ref = [np.array([level[k] for level in levels]) for k in range(5)]
+                for got, want in zip(terms, ref):
+                    assert got.shape == (nt, grid.nx)
+                    assert np.array_equal(got, want)
+                p, dt_p, dx_cp, dxx_dp, reac = ref
+                scale = np.maximum.reduce(
+                    [np.abs(p), np.abs(dx_cp), np.abs(dxx_dp), np.abs(reac)])
+                want = verify._report(dt_p + dx_cp - dxx_dp - reac, scale, x,
+                                      mode, t=ts)
+                rep = pde_residual(system, grid, mode=mode, fd_step=fd_step)
+                assert rep.as_dict() == want.as_dict()
+
+    def test_fd_mode_makes_nine_field_calls_per_block(self, fig1, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eval_fields(*args)
+
+        monkeypatch.setattr(verify, "eval_fields", counted)
+        pde_residual(fig1, GridSpec(nx=400, nt=20), mode="finite-difference")
+        assert len(calls) == 9 * math.ceil(20 / verify._FIELD_BLOCK) == 18
+
+    @pytest.mark.parametrize("fd_step", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_bad_fd_step(self, fig1, fd_step):
+        with pytest.raises(ValueError, match="fd_step"):
+            pde_residual(fig1, SMALL_GRID, mode="finite-difference",
+                         fd_step=fd_step)
 
 
 class TestOrthonormality:
