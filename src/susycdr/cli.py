@@ -10,8 +10,8 @@ emit-fig  write the bundled example datasets (two interchanged parameter
           gnuplot script
 
 Configuration is a single JSON document (see DEFAULT_CONFIG for the
-schema); every value written to CSV carries 17 significant digits so the
-files round-trip bit-for-bit.
+schema). Every value written to CSV is rendered with ``%.17g``: the bytes
+are stable from run to run and each value round-trips bit-for-bit.
 
 Exit codes: 0 success, 1 verification failure, 2 config or usage error.
 """
@@ -200,8 +200,28 @@ def _load_config(path: str | None) -> RunConfig:
     return parse_config(data)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _csv_rows(lead: list, columns) -> str:
+    """CSV rows ``lead[i],columns[0][i],columns[1][i],...``, newline-ended.
+
+    ``lead`` holds each row's already formatted leading cells. Every column
+    value is rendered with ``%.17g`` in one call over the whole block; on a
+    Python float that gives the digits of ``format(v, ".17g")``.
+    """
+    values = [col.tolist() for col in columns]
+    flat = [cell for row in zip(lead, *values) for cell in row]
+    row = "%s" + ",%.17g" * len(values) + "\n"
+    return (row * len(lead)) % tuple(flat)
+
+
+def _out_dir(text: str) -> Path:
+    """The ``--out`` path; ConfigError when it or a parent is not a directory."""
+    path = Path(text)
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigError(f"--out {text}: {part} is not a directory")
+            break
+    return path
 
 
 def _cmd_build(config: RunConfig) -> int:
@@ -240,15 +260,13 @@ def _cmd_eval(config: RunConfig, out_dir: Path) -> int:
     xs, ts, levels = _finite_levels(config.build(), config)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "fields.csv"
-    lines = ["x,t,P,D,C,R"]
-    for t, (p, d, c, r) in zip(ts, levels):
-        for i, x in enumerate(xs):
-            lines.append(
-                f"{_fmt(x)},{_fmt(t)},{_fmt(p[i])},{_fmt(d[i])},"
-                f"{_fmt(c[i])},{_fmt(r[i])}"
-            )
-    path.write_text("\n".join(lines) + "\n")
-    print(f"wrote {path} ({len(lines) - 1} rows)")
+    x_cells = ["%.17g" % x for x in xs.tolist()]
+    with path.open("w") as fh:
+        fh.write("x,t,P,D,C,R\n")
+        for t, fields in zip(ts.tolist(), levels):
+            t_cell = "%.17g" % t
+            fh.write(_csv_rows([f"{x},{t_cell}" for x in x_cells], fields))
+    print(f"wrote {path} ({xs.size * ts.size} rows)")
     return 0
 
 
@@ -380,22 +398,13 @@ do for [tag in "fig1 fig2"] {
 
 def _cmd_emit_fig(config: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    xs = _FIG_GRID
-    header = "x," + ",".join(f"t={t:g}" for t in _FIG_TIMES)
+    header = "x," + ",".join(f"t={t:g}" for t in _FIG_TIMES) + "\n"
+    x_cells = ["%.17g" % x for x in _FIG_GRID.tolist()]
     for tag, system in _fig_systems():
-        columns = {name: [] for name in "PDCR"}
-        for t in _FIG_TIMES:
-            p, d, c, r = eval_fields(system, xs, t)
-            columns["P"].append(p)
-            columns["D"].append(d)
-            columns["C"].append(c)
-            columns["R"].append(r)
-        for name, cols in columns.items():
-            lines = [header]
-            for i, x in enumerate(xs):
-                vals = ",".join(_fmt(col[i]) for col in cols)
-                lines.append(f"{_fmt(x)},{vals}")
-            (out_dir / f"{tag}_{name}.csv").write_text("\n".join(lines) + "\n")
+        levels = [eval_fields(system, _FIG_GRID, t) for t in _FIG_TIMES]
+        for name, columns in zip("PDCR", zip(*levels)):
+            (out_dir / f"{tag}_{name}.csv").write_text(
+                header + _csv_rows(x_cells, columns))
     (out_dir / "plot_figures.gp").write_text(_PLOT_SCRIPT)
     print(f"wrote 8 CSV files and plot_figures.gp to {out_dir}")
     return 0
@@ -439,14 +448,15 @@ def run(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         config = _load_config(args.config)
-        out_dir = Path(args.out) if args.out is not None else None
         if args.command == "build":
             return _cmd_build(config)
-        if args.command == "eval":
-            return _cmd_eval(config, out_dir or Path("susycdr_out"))
         if args.command == "verify":
+            out_dir = _out_dir(args.out) if args.out is not None else None
             return _cmd_verify(config, args.tol, out_dir)
-        return _cmd_emit_fig(config, out_dir or Path("susycdr_out"))
+        out_dir = _out_dir(args.out if args.out is not None else "susycdr_out")
+        if args.command == "eval":
+            return _cmd_eval(config, out_dir)
+        return _cmd_emit_fig(config, out_dir)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from susycdr.cli import DEFAULT_CONFIG, ConfigError, main, parse_config, run
+from susycdr.cdr import eval_fields
+from susycdr.cli import (_FIG_GRID, _FIG_TIMES, DEFAULT_CONFIG, ConfigError,
+                         _fig_systems, main, parse_config, run)
 
 
 def write_config(tmp_path, **overrides):
@@ -108,6 +110,25 @@ class TestBuildCommand:
         assert run(["--config", str(path), "build"]) == 2
 
 
+def _fmt17(value) -> str:
+    """One value as the CSV writer has always printed it."""
+    return format(float(value), ".17g")
+
+
+@pytest.mark.parametrize("command", ["eval", "emit-fig", "verify"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = blocker / "sub" if below else blocker
+    assert run(["--out", str(out), command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --out {out}: {blocker} is not a directory\n")
+    assert blocker.read_text() == "keep"
+
+
 class TestEvalCommand:
     def test_csv_roundtrip_bit_exact(self, tmp_path, capsys):
         config = write_config(
@@ -121,14 +142,37 @@ class TestEvalCommand:
         assert lines[0] == "x,t,P,D,C,R"
         assert len(lines) == 1 + 8 * 3
 
-        from susycdr.cli import parse_config as pc
-        cfg = pc(json.loads(config.read_text()))
-        system = cfg.build()
-        from susycdr.cdr import eval_fields
+        system = parse_config(json.loads(config.read_text())).build()
         for row in lines[1:]:
             x, t, p, d, c, r = (float(v) for v in row.split(","))
             pe, de, ce, re = eval_fields(system, x, t)
             assert (p, d, c, r) == (pe, de, ce, re)  # bit-for-bit
+
+    @pytest.mark.parametrize("cfg", [
+        {"omega": 1.3, "ell": 0.8, "alpha": 1.0, "case": "fpe", "s": 1,
+         "n": 2, "grid": {"nx": 37, "nt": 3}},
+        {"omega": 0.9, "ell": 1.5, "alpha": 0.7, "case": "case_a", "n": 2,
+         "m": 1, "grid": {"nx": 23, "nt": 4}},
+        dict(DEFAULT_CONFIG, grid={"x_min": 0.3, "x_max": 6.0, "nx": 45,
+                                   "t_min": 0.4, "t_max": 3.0, "nt": 3}),
+    ], ids=["fpe", "case_a", "case_b"])
+    def test_csv_bytes_match_per_value_writer(self, tmp_path, capsys, cfg):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert run(["--config", str(config), "--out", str(out_dir), "eval"]) == 0
+        parsed = parse_config(cfg)
+        grid, system = parsed.grid, parsed.build()
+        lines = ["x,t,P,D,C,R"]
+        for t in grid.t_points():
+            fields = eval_fields(system, grid.x_points(), float(t))
+            for i, x in enumerate(grid.x_points()):
+                lines.append(",".join(
+                    _fmt17(v) for v in (x, t, *(f[i] for f in fields))))
+        path = out_dir / "fields.csv"
+        assert path.read_text() == "\n".join(lines) + "\n"
+        assert capsys.readouterr().out == (
+            f"wrote {path} ({grid.nx * grid.nt} rows)\n")
 
     @pytest.mark.parametrize("command,omega,ell,bad", [
         pytest.param("eval", 4.0, 285.0, 193, id="4.0-285.0-193"),
@@ -208,6 +252,18 @@ class TestEmitFigCommand:
         assert run(["--out", str(again), "emit-fig"]) == 0
         for name in ("fig1_P.csv", "fig2_R.csv", "plot_figures.gp"):
             assert (again / name).read_bytes() == (fig_dir / name).read_bytes()
+
+    def test_csv_bytes_match_per_value_writer(self, fig_dir):
+        header = "x," + ",".join(f"t={t:g}" for t in _FIG_TIMES)
+        for tag, system in _fig_systems():
+            levels = [eval_fields(system, _FIG_GRID, t) for t in _FIG_TIMES]
+            for k, name in enumerate("PDCR"):
+                lines = [header]
+                for i, x in enumerate(_FIG_GRID):
+                    cells = [_fmt17(x)] + [_fmt17(lv[k][i]) for lv in levels]
+                    lines.append(",".join(cells))
+                text = (fig_dir / f"{tag}_{name}.csv").read_text()
+                assert text == "\n".join(lines) + "\n", f"{tag}_{name}.csv"
 
     def test_reaction_columns_negate_between_figures(self, fig_dir):
         r1 = np.loadtxt(fig_dir / "fig1_R.csv", delimiter=",", skiprows=1)
