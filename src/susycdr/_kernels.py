@@ -9,16 +9,29 @@ import numpy as np
 # = 1, s = 1, x in [0.05, 14], nx = 2000).
 # ---------------------------------------------------------------------------
 
-def laguerre_values(n, a, y):
-    """L_n^a evaluated on the 1-d float array ``y`` (vectorized recurrence)."""
+def laguerre_table(n, a, y):
+    """[L_0^a(y), ..., L_n^a(y)] from one upward recurrence on the float
+    array ``y``.
+
+    L_0 is the scalar 1.0 (it broadcasts against ``y`` with the bits of an
+    array of ones); every other entry is an array shaped like ``y``.
+    """
     y = np.asarray(y, dtype=np.float64)
-    prev = np.ones_like(y)
-    if n == 0:
-        return prev
-    cur = 1.0 + a - y
+    table = [1.0]
+    if n >= 1:
+        table.append(1.0 + a - y)
     for k in range(2, n + 1):
-        cur, prev = ((2.0 * k - 1.0 + a - y) * cur - (k - 1.0 + a) * prev) / k, cur
-    return cur
+        table.append(((2.0 * k - 1.0 + a - y) * table[k - 1]
+                      - (k - 1.0 + a) * table[k - 2]) / k)
+    return table
+
+
+def laguerre_values(n, a, y):
+    """L_n^a(y) on the float array ``y``: the last entry of
+    :func:`laguerre_table`, an array shaped like ``y`` also for n = 0."""
+    if n == 0:
+        return np.ones_like(np.asarray(y, dtype=np.float64))
+    return laguerre_table(n, a, y)[n]
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ def eval_fields(system: CdrSystem, x, t):
     """Physical fields (P, D, C, R) at (x, t); t > 0, x in the half-line domain."""
     t_arr = np.asarray(t, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
-    if np.any(x_arr <= 0.0):
+    if (x_arr <= 0.0).any():
         raise ValueError("fields of the half-line family require x > 0")
     z = to_similarity(x_arr, t_arr, system.alpha)
     e = system.exponents

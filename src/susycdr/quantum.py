@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import laguerre_values
+from ._kernels import laguerre_table, laguerre_values
 
 __all__ = [
     "OscillatorParams",
@@ -67,9 +67,41 @@ class OscillatorParams:
 
 def _check_positive_x(x):
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise ValueError("potential evaluation requires x > 0")
     return arr
+
+
+def _laguerre_form(member: OscillatorParams, n: int):
+    """(a, p, N) of u_n = N q^p exp(-q/2) L_n^a(q) for member parameters
+    (omega, L): a = L + 1/2, p = (L + 1)/2 and
+    N = (2 omega)^{1/4} sqrt(n! / Gamma(n + L + 3/2))."""
+    big_l = member.ell
+    norm = (2.0 * member.omega) ** 0.25 * math.exp(
+        0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + big_l + 1.5))
+    )
+    return big_l + 0.5, 0.5 * (big_l + 1.0), norm
+
+
+def _half_line_q(omega, x, derivative=False):
+    """(arr, flat, q): ``x`` as an at-least-1-d array, its flat view, and
+    q = omega x^2 / 2 there. Values need x >= 0, derivatives x > 0."""
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if derivative:
+        if (arr <= 0.0).any():
+            raise ValueError("eigenstate derivative requires x > 0")
+    elif (arr < 0.0).any():
+        raise ValueError("eigenstate evaluation requires x >= 0")
+    flat = arr.ravel()
+    return arr, flat, 0.5 * omega * flat * flat
+
+
+def _values(q, power, norms, lags):
+    """u_n = N_n q^p exp(-q/2) L_n^a(q) for each pair of ``norms`` and
+    ``lags`` (the L_n^a(q)), from one q^p and one exp(-q/2)."""
+    q_pow = q ** power
+    expq = np.exp(-0.5 * q)
+    return [norm * q_pow * expq * lag for norm, lag in zip(norms, lags)]
 
 
 class RadialOscillatorFamily:
@@ -103,6 +135,24 @@ class RadialOscillatorFamily:
     def eigenstate(self, s: int, n: int) -> "Eigenstate":
         return Eigenstate(self, s, n)
 
+    def eigenstate_values(self, s: int, n_max: int, x) -> list:
+        """[u_0(x), ..., u_{n_max}(x)] of chain member s, each shaped like
+        ``np.atleast_1d(x)``; requires x >= 0.
+
+        Equal, bit for bit, to ``[self.eigenstate(s, n)(x) for n in
+        range(n_max + 1)]`` for array ``x``, but takes q, q^p and exp(-q/2)
+        once and every Laguerre degree from one recurrence.
+        """
+        if n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {n_max}")
+        member = self.shifted_params(s)
+        forms = [_laguerre_form(member, n) for n in range(n_max + 1)]
+        lag_a, power, _ = forms[0]
+        arr, _, q = _half_line_q(member.omega, x)
+        values = _values(q, power, [norm for _, _, norm in forms],
+                         laguerre_table(n_max, lag_a, q))
+        return [val.reshape(arr.shape) for val in values]
+
     def __repr__(self):
         return f"RadialOscillatorFamily(omega={self.omega}, ell={self.ell})"
 
@@ -123,9 +173,11 @@ class Eigenstate:
     and N = (2 omega)^{1/4} sqrt(n! / Gamma(n + L + 3/2)).
 
     The instance is immutable after construction and safe to share.
-    Calling it evaluates u; ``deriv``/``deriv2`` evaluate u' and u''
-    (closed form, valid for x > 0; the value itself extends to x = 0
-    where it vanishes).
+    Calling it evaluates u, as the one-state case of the expression that
+    :meth:`RadialOscillatorFamily.eigenstate_values` applies to a whole
+    member; ``deriv``/``deriv2`` evaluate u' and u'' (closed form, valid
+    for x > 0, each power of q taken once; the value itself extends to
+    x = 0 where it vanishes).
     """
 
     def __init__(self, family: RadialOscillatorFamily, s: int, n: int):
@@ -136,20 +188,12 @@ class Eigenstate:
         self.n = n
         member = family.shifted_params(s)
         self._omega = member.omega
-        big_l = member.ell
-        self._lag_a = big_l + 0.5
-        self._power = 0.5 * (big_l + 1.0)
-        self._norm = (2.0 * self._omega) ** 0.25 * math.exp(
-            0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + big_l + 1.5))
-        )
+        self._lag_a, self._power, self._norm = _laguerre_form(member, n)
         self.energy = family.energy(s, n)
 
     @property
     def norm_constant(self) -> float:
         return self._norm
-
-    def _q(self, x):
-        return 0.5 * self._omega * x * x
 
     def _lag(self, q, shift: int):
         """L_{n-shift}^{a+shift}(q); zero when the degree goes negative."""
@@ -159,45 +203,34 @@ class Eigenstate:
         return laguerre_values(deg, self._lag_a + shift, q)
 
     def __call__(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if np.any(arr < 0.0):
-            raise ValueError("eigenstate evaluation requires x >= 0")
-        q = self._q(arr.ravel())
-        val = self._norm * q ** self._power * np.exp(-0.5 * q) * self._lag(q, 0)
+        arr, _, q = _half_line_q(self._omega, x)
+        val = _values(q, self._power, [self._norm], [self._lag(q, 0)])[0]
         val = val.reshape(arr.shape)
         return float(val[0]) if np.ndim(x) == 0 else val
 
     def deriv(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if np.any(arr <= 0.0):
-            raise ValueError("eigenstate derivative requires x > 0")
-        flat = arr.ravel()
-        q = self._q(flat)
+        arr, flat, q = _half_line_q(self._omega, x, derivative=True)
         p = self._power
         ln = self._lag(q, 0)
         lp = -self._lag(q, 1)
-        wp = np.exp(-0.5 * q) * (
-            p * q ** (p - 1.0) * ln - 0.5 * q ** p * ln + q ** p * lp
-        )
+        q_p, q_p1 = q ** p, q ** (p - 1.0)
+        wp = np.exp(-0.5 * q) * (p * q_p1 * ln - 0.5 * q_p * ln + q_p * lp)
         out = (self._norm * wp * self._omega * flat).reshape(arr.shape)
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def deriv2(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if np.any(arr <= 0.0):
-            raise ValueError("eigenstate derivative requires x > 0")
-        flat = arr.ravel()
-        q = self._q(flat)
+        arr, flat, q = _half_line_q(self._omega, x, derivative=True)
         p = self._power
         ln = self._lag(q, 0)
         lp = -self._lag(q, 1)
         lpp = self._lag(q, 2)
         expq = np.exp(-0.5 * q)
-        wp = expq * (p * q ** (p - 1.0) * ln - 0.5 * q ** p * ln + q ** p * lp)
+        q_p, q_p1, q_p2 = q ** p, q ** (p - 1.0), q ** (p - 2.0)
+        wp = expq * (p * q_p1 * ln - 0.5 * q_p * ln + q_p * lp)
         wpp = expq * (
-            (p * (p - 1.0) * q ** (p - 2.0) - p * q ** (p - 1.0) + 0.25 * q ** p) * ln
-            + (2.0 * p * q ** (p - 1.0) - q ** p) * lp
-            + q ** p * lpp
+            (p * (p - 1.0) * q_p2 - p * q_p1 + 0.25 * q_p) * ln
+            + (2.0 * p * q_p1 - q_p) * lp
+            + q_p * lpp
         )
         wx = self._omega * flat
         out = (self._norm * (wpp * wx * wx + wp * self._omega)).reshape(arr.shape)
@@ -218,7 +251,7 @@ def darboux_partner(potential, ground_state, x):
     analytic ``deriv``/``deriv2`` like :class:`Eigenstate`.
     """
     phi_val = np.asarray(ground_state(x), dtype=np.float64)
-    if np.any(phi_val <= 0.0):
+    if (phi_val <= 0.0).any():
         raise ValueError("darboux_partner requires the seed state to be positive")
     ratio1 = ground_state.deriv(x) / phi_val
     log_d2 = ground_state.deriv2(x) / phi_val - ratio1 * ratio1
@@ -234,7 +267,7 @@ def darboux_state(seed_state, source_state, x):
     supply an analytic ``deriv``.
     """
     seed_val = np.asarray(seed_state(x), dtype=np.float64)
-    if np.any(seed_val == 0.0):
+    if (seed_val == 0.0).any():
         raise ValueError("darboux_state is undefined at zeros of the seed state")
     out = (source_state.deriv(x)
            - (seed_state.deriv(x) / seed_val) * np.asarray(source_state(x)))

@@ -52,6 +52,6 @@ def exponents_for_class(alpha: float) -> ScalingExponents:
 def to_similarity(x, t, alpha: float):
     """Similarity variable z = x / t^alpha; requires t > 0."""
     t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr <= 0.0):
+    if (t_arr <= 0.0).any():
         raise ValueError(f"similarity variable requires t > 0, got t={t}")
     return x / t_arr ** alpha

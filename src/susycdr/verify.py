@@ -258,15 +258,16 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
                           n_max: int) -> np.ndarray:
     """Gram matrix G[m, n] = integral of u_m u_n over (0, inf), m, n <= n_max.
 
-    Every entry runs its own adaptive quadrature (no symmetry shortcut);
-    the quadrature is the arbiter of the normalization convention. The
-    panels of all entries bisect one interval, so the states are
-    evaluated once per distinct node array and their values shared for
-    the rest of the call; each entry integrates the same floats as if it
-    had evaluated them itself.
+    ``n_max`` runs from 0 to 8. Every entry runs its own adaptive
+    quadrature (no symmetry shortcut); the quadrature is the arbiter of
+    the normalization convention. The panels of all entries bisect one
+    interval, so the states are evaluated once per distinct node array,
+    all n_max + 1 of them in one ``family.eigenstate_values`` call, and
+    their values shared for the rest of the call; each entry integrates
+    the same floats as if it had evaluated its two states itself.
     """
-    if n_max > 8:
-        raise ValueError(f"n_max must be <= 8, got {n_max}")
+    if not 0 <= n_max <= 8:
+        raise ValueError(f"n_max must be in 0..8, got {n_max}")
     # Widened cut: the polynomial factor in front of the Gaussian
     # pushes the negligible-tail point outward for higher levels.
     spec = QuadratureSpec(
@@ -274,13 +275,12 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
         rel_tol=1e-10,
         truncation_x_max=gaussian_tail_cutoff(family.omega, safety=1.35),
     )
-    states = [family.eigenstate(s, n) for n in range(n_max + 1)]
     memo = {}
 
     def values(xx):
         key = xx.tobytes()
         if key not in memo:
-            memo[key] = [state(xx) for state in states]
+            memo[key] = family.eigenstate_values(s, n_max, xx)
         return memo[key]
 
     gram = np.empty((n_max + 1, n_max + 1))
@@ -319,11 +319,15 @@ def positive_diffusion_x_max(system: CdrSystem, t_min: float,
     converges there. The first zero z* of the diffusion profile bounds
     the usable region by x < z* * t_min^alpha (for alpha > 0); the bound
     returned keeps a 5 % gap from the degenerate boundary. z* is bracketed
-    on 4096 samples, then bisected.
+    on 4096 samples, then bisected. ``t_min`` and ``x_max`` must be finite
+    numbers above 0.
     """
     alpha = system.alpha
     if alpha <= 0:
         raise ValueError("positive_diffusion_x_max requires alpha > 0")
+    for name, value in (("t_min", t_min), ("x_max", x_max)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be a finite number above 0, got {value}")
     z_hi = x_max / t_min ** alpha
     zs = np.linspace(z_hi / 4096, z_hi, 4096)
     sig = np.asarray(system.diffusion(zs))

@@ -6,6 +6,36 @@ import pytest
 from susycdr import _kernels
 
 
+def _two_term_recurrence(n, a, y):
+    """L_n^a(y) by the upward recurrence that keeps only the last two
+    degrees, starting from an array of ones."""
+    prev = np.ones_like(y)
+    if n == 0:
+        return prev
+    cur = 1.0 + a - y
+    for k in range(2, n + 1):
+        cur, prev = ((2.0 * k - 1.0 + a - y) * cur - (k - 1.0 + a) * prev) / k, cur
+    return cur
+
+
+class TestLaguerreKernel:
+    @pytest.mark.parametrize("a", [0.5, 1.7, 4.5, 12.25])
+    def test_every_degree_bitwise_equal_to_two_term_recurrence(self, a):
+        y = np.linspace(0.0, 40.0, 301)
+        table = _kernels.laguerre_table(20, a, y)
+        assert len(table) == 21
+        for n, entry in enumerate(table):
+            expected = _two_term_recurrence(n, a, y)
+            assert np.array_equal(entry * np.ones_like(y), expected), n
+            assert np.array_equal(_kernels.laguerre_values(n, a, y), expected), n
+
+    def test_degree_zero_is_an_array_of_ones(self):
+        y = np.linspace(0.0, 3.0, 7).reshape(7, 1)
+        assert _kernels.laguerre_table(0, 1.5, y) == [1.0]
+        out = _kernels.laguerre_values(0, 1.5, y)
+        assert out.shape == y.shape and np.all(out == 1.0)
+
+
 class TestThomasKernel:
     @pytest.mark.parametrize("n", [2, 3, 64, 401])
     def test_matches_dense_solve(self, n):

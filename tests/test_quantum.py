@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from susycdr.mathfn import QuadratureSpec, fd_derivative, integrate
+from susycdr._kernels import laguerre_values
+from susycdr.mathfn import _K15_NODES, QuadratureSpec, fd_derivative, integrate
 from susycdr.quantum import (DEFAULT_X_MIN, Eigenstate, OscillatorParams,
                              RadialOscillatorFamily, base_potential,
                              darboux_partner, darboux_state)
@@ -162,6 +163,86 @@ class TestEigenfunction:
             u(-1.0)
         with pytest.raises(ValueError):
             u.deriv(0.0)
+
+
+def _panel_nodes(lo, hi):
+    """The 15 Gauss-Kronrod nodes of one quadrature panel on (lo, hi)."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid + half * _K15_NODES
+
+
+def _similarity_block(alpha):
+    """z = x / t^alpha over 16 time levels and 400 points, as pde_residual
+    evaluates it."""
+    x = np.linspace(0.2, 8.0, 400)
+    t = np.linspace(0.5, 2.5, 16)
+    return x[None, :] / (t ** alpha)[:, None]
+
+
+_MEMBER_CASES = [(1.0, 1.0, 0), (0.3, 4.0, 1), (3.0, 0.5, 3), (1.37, 2.2, 2)]
+
+
+class TestEigenstateValues:
+    @pytest.mark.parametrize("omega, ell, s", _MEMBER_CASES)
+    @pytest.mark.parametrize("n_max", [0, 1, 8, 20])
+    def test_equal_to_per_state_values(self, omega, ell, s, n_max):
+        fam = RadialOscillatorFamily(OscillatorParams(omega, ell))
+        for x in (_panel_nodes(0.0, 2.7), _panel_nodes(3.1, 9.4),
+                  _similarity_block(0.8)):
+            values = fam.eigenstate_values(s, n_max, x)
+            assert len(values) == n_max + 1
+            for n, val in enumerate(values):
+                assert np.array_equal(val, fam.eigenstate(s, n)(x)), n
+
+    def test_rejects_bad_arguments(self, family):
+        with pytest.raises(ValueError, match="n_max"):
+            family.eigenstate_values(0, -1, np.ones(3))
+        with pytest.raises(ValueError, match="x >= 0"):
+            family.eigenstate_values(0, 2, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="chain index"):
+            family.eigenstate_values(-1, 2, np.ones(3))
+
+
+def _reference_derivatives(u, x):
+    """u' and u'' by the expressions that evaluate every power of q at each
+    use, as the derivatives were written before they shared the powers."""
+    omega = u.family.omega
+    big_l = u.family.ell + u.s
+    p = 0.5 * (big_l + 1.0)
+    a = big_l + 0.5
+    q = 0.5 * omega * x * x
+
+    def lag(shift):
+        if u.n < shift:
+            return np.zeros_like(q)
+        return laguerre_values(u.n - shift, a + shift, q)
+
+    ln, lp, lpp = lag(0), -lag(1), lag(2)
+    expq = np.exp(-0.5 * q)
+    wp = expq * (p * q ** (p - 1.0) * ln - 0.5 * q ** p * ln + q ** p * lp)
+    wpp = expq * (
+        (p * (p - 1.0) * q ** (p - 2.0) - p * q ** (p - 1.0) + 0.25 * q ** p) * ln
+        + (2.0 * p * q ** (p - 1.0) - q ** p) * lp
+        + q ** p * lpp
+    )
+    wx = omega * x
+    return (u.norm_constant * wp * omega * x,
+            u.norm_constant * (wpp * wx * wx + wp * omega))
+
+
+class TestDerivativeBits:
+    @pytest.mark.parametrize("omega, ell, s", _MEMBER_CASES)
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
+    def test_bitwise_equal_to_reference_expressions(self, omega, ell, s, n):
+        u = RadialOscillatorFamily(OscillatorParams(omega, ell)).eigenstate(s, n)
+        x = _similarity_block(1.2)
+        d1, d2 = _reference_derivatives(u, x)
+        assert np.array_equal(u.deriv(x), d1)
+        assert np.array_equal(u.deriv2(x), d2)
+        # a scalar is evaluated as a one-point array (numpy's array power
+        # and Python's float power may differ in the last bit)
+        d1, d2 = _reference_derivatives(u, np.array([1.7]))
+        assert u.deriv(1.7) == d1[0] and u.deriv2(1.7) == d2[0]
 
 
 class TestDarbouxPartner:

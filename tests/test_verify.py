@@ -313,6 +313,15 @@ class TestOrthonormality:
         with pytest.raises(ValueError):
             orthonormality_matrix(family, s=0, n_max=9)
 
+    def test_rejects_negative_n_max(self, family):
+        with pytest.raises(ValueError, match="n_max"):
+            orthonormality_matrix(family, s=0, n_max=-1)
+
+    def test_n_max_zero_is_the_norm_of_the_ground_state(self, family):
+        gram = orthonormality_matrix(family, s=2, n_max=0)
+        assert gram.shape == (1, 1)
+        assert abs(gram[0, 0] - 1.0) <= 1e-8
+
     @staticmethod
     def _per_entry_gram(family, s, n_max):
         """Each entry's quadrature evaluating both states itself."""
@@ -450,6 +459,15 @@ class TestPositiveDiffusionXMax:
         assert x_hi == pytest.approx(0.95 * math.sqrt(11.0), rel=1e-6)
         zs = np.linspace(1e-3, x_hi, 500)
         assert np.all(fig1.diffusion(zs) > 0.0)
+
+    @pytest.mark.parametrize("t_min, x_max, name", [
+        (math.nan, 8.0, "t_min"), (0.0, 8.0, "t_min"), (-1.0, 8.0, "t_min"),
+        (math.inf, 8.0, "t_min"), (1.0, -1.0, "x_max"), (1.0, 0.0, "x_max"),
+        (1.0, math.nan, "x_max"), (1.0, math.inf, "x_max"),
+    ])
+    def test_rejects_bad_arguments(self, fig1, t_min, x_max, name):
+        with pytest.raises(ValueError, match=name):
+            positive_diffusion_x_max(fig1, t_min, x_max)
 
 
 def _systems(family):
