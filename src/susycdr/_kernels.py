@@ -34,6 +34,11 @@ def laguerre_values(n, a, y):
     return laguerre_table(n, a, y)[n]
 
 
+# Time levels per blocked numpy pass: the CN step coefficients below and the
+# field assembly in verify. Blocks bound the temporaries (and peak RSS).
+LEVEL_BLOCK = 16
+
+
 # ---------------------------------------------------------------------------
 # Tridiagonal (Thomas) solve. Rows: diag[i]*x[i] + upper[i]*x[i+1]
 # + lower[i]*x[i-1] = rhs[i], with lower[0] and upper[-1] ignored. No
@@ -42,27 +47,25 @@ def laguerre_values(n, a, y):
 
 def thomas_solve(lower, diag, upper, rhs):
     # Python floats: numpy-scalar indexing costs about 4x, same IEEE arithmetic.
-    lower = lower.tolist()
-    diag = diag.tolist()
-    upper = upper.tolist()
-    rhs = rhs.tolist()
-    n = len(diag)
-    c_prev = upper[0] / diag[0]
-    d_prev = rhs[0] / diag[0]
-    cp = [c_prev]
-    dp = [d_prev]
-    for i in range(1, n):
-        lo = lower[i]
-        denom = diag[i] - lo * c_prev
-        c_prev = upper[i] / denom
-        d_prev = (rhs[i] - lo * d_prev) / denom
-        cp.append(c_prev)
-        dp.append(d_prev)
-    x = [0.0] * n
-    x_next = x[n - 1] = d_prev
-    for i in range(n - 2, -1, -1):
-        x_next = x[i] = dp[i] - cp[i] * x_next
-    return np.array(x)
+    rows = zip(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist())
+    _, di, up, r = next(rows)
+    c = up / di
+    d = r / di
+    cp = [c]
+    dp = [d]
+    c_append = cp.append
+    d_append = dp.append
+    for lo, di, up, r in rows:
+        den = di - lo * c
+        c = up / den
+        d = (r - lo * d) / den
+        c_append(c)
+        d_append(d)
+    # back substitution, overwriting dp with the solution
+    x = d
+    for i in range(len(dp) - 2, -1, -1):
+        x = dp[i] = dp[i] - cp[i] * x
+    return np.array(dp, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +73,8 @@ def thomas_solve(lower, diag, upper, rhs):
 # uniform grid, central differences, Dirichlet values supplied per step.
 # d_levels/c_levels hold D and C at every time level (nt+1, nx);
 # r_half holds R at the half steps (nt, nx). Second order in h and dt.
+# The band coefficients of LEVEL_BLOCK steps are built in one numpy pass;
+# each keeps the expression (and bits) of a per-step build.
 # ---------------------------------------------------------------------------
 
 def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
@@ -78,29 +83,33 @@ def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
     p = p0.copy()
     inv_h2 = 1.0 / (h * h)
     inv_2h = 0.5 / h
-    for step in range(nt):
-        d_old = d_levels[step]
-        c_old = c_levels[step]
-        d_new = d_levels[step + 1]
-        c_new = c_levels[step + 1]
+    rhs = np.empty(nx)
+    lower = np.zeros((LEVEL_BLOCK, nx))
+    diag = np.ones((LEVEL_BLOCK, nx))
+    upper = np.zeros((LEVEL_BLOCK, nx))
+    for start in range(0, nt, LEVEL_BLOCK):
+        stop = min(start + LEVEL_BLOCK, nt)
+        m = stop - start
+        # levels start..stop: the old level of each step, then the new one
+        d = d_levels[start:stop + 1]
+        c = c_levels[start:stop + 1]
+        lo = d[:, :-2] * inv_h2 + c[:, :-2] * inv_2h
+        hi = d[:, 2:] * inv_h2 - c[:, 2:] * inv_2h
 
-        # spatial operator L applied to the current solution (interior)
-        lo_old = d_old[:-2] * inv_h2 + c_old[:-2] * inv_2h
-        mid_old = -2.0 * d_old[1:-1] * inv_h2
-        hi_old = d_old[2:] * inv_h2 - c_old[2:] * inv_2h
-        rhs = np.empty(nx)
-        rhs[1:-1] = p[1:-1] + 0.5 * dt * (
-            lo_old * p[:-2] + mid_old * p[1:-1] + hi_old * p[2:]
-        ) + dt * r_half[step, 1:-1]
-        rhs[0] = bc_left[step + 1]
-        rhs[-1] = bc_right[step + 1]
+        # spatial operator L at the old level (interior), for the explicit half
+        mid_old = -2.0 * d[:-1, 1:-1] * inv_h2
+        dt_r = dt * r_half[start:stop, 1:-1]
 
-        lower = np.zeros(nx)
-        diag = np.ones(nx)
-        upper = np.zeros(nx)
-        lower[1:-1] = -0.5 * dt * (d_new[:-2] * inv_h2 + c_new[:-2] * inv_2h)
-        diag[1:-1] = 1.0 + dt * d_new[1:-1] * inv_h2
-        upper[1:-1] = -0.5 * dt * (d_new[2:] * inv_h2 - c_new[2:] * inv_2h)
+        # implicit half at the new level
+        lower[:m, 1:-1] = -0.5 * dt * lo[1:]
+        diag[:m, 1:-1] = 1.0 + dt * d[1:, 1:-1] * inv_h2
+        upper[:m, 1:-1] = -0.5 * dt * hi[1:]
 
-        p = thomas_solve(lower, diag, upper, rhs)
+        for j in range(m):
+            rhs[1:-1] = p[1:-1] + 0.5 * dt * (
+                lo[j] * p[:-2] + mid_old[j] * p[1:-1] + hi[j] * p[2:]
+            ) + dt_r[j]
+            rhs[0] = bc_left[start + j + 1]
+            rhs[-1] = bc_right[start + j + 1]
+            p = thomas_solve(lower[j], diag[j], upper[j], rhs)
     return p

@@ -194,22 +194,36 @@ def build_case_b(family: RadialOscillatorFamily, alpha: float, n: int, s: int,
     )
 
 
-def eval_fields(system: CdrSystem, x, t):
-    """Physical fields (P, D, C, R) at (x, t); t > 0, x in the half-line domain."""
+def eval_fields(system: CdrSystem, x, t, fields: str = "PDCR"):
+    """Physical fields at (x, t); t > 0, x in the half-line domain.
+
+    ``fields`` picks which of P, D, C and R to return, in that order, as
+    an ordered selection such as ``"DC"`` or ``"R"``; only the profiles
+    those fields need are evaluated, and each field keeps the bits of the
+    full ``"PDCR"`` call.
+    """
+    if not fields or "".join(f for f in "PDCR" if f in fields) != fields:
+        raise ValueError(
+            f"fields must be an ordered selection from 'PDCR', got {fields!r}")
     t_arr = np.asarray(t, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
     if (x_arr <= 0.0).any():
         raise ValueError("fields of the half-line family require x > 0")
     z = to_similarity(x_arr, t_arr, system.alpha)
     e = system.exponents
-    y = system.solution(z)
-    sig = system.diffusion(z)
-    sig_d = system.coeff_b * system.sigma_state.deriv(z)
-    p_field = t_arr ** e.mu * y
-    d_field = t_arr ** e.delta * sig
-    c_field = t_arr ** e.gamma * system.convection(z, (sig, sig_d))
-    r_field = t_arr ** e.rho_exp * system.reaction(z, y, sig)
-    return p_field, d_field, c_field, r_field
+    y = system.solution(z) if "P" in fields or "R" in fields else None
+    sig = system.diffusion(z) if fields != "P" else None  # D, C, R read sigma
+    out = []
+    if "P" in fields:
+        out.append(t_arr ** e.mu * y)
+    if "D" in fields:
+        out.append(t_arr ** e.delta * sig)
+    if "C" in fields:
+        sig_d = system.coeff_b * system.sigma_state.deriv(z)
+        out.append(t_arr ** e.gamma * system.convection(z, (sig, sig_d)))
+    if "R" in fields:
+        out.append(t_arr ** e.rho_exp * system.reaction(z, y, sig))
+    return tuple(out)
 
 
 def swap(system: CdrSystem) -> CdrSystem:

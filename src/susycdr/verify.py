@@ -36,8 +36,9 @@ __all__ = [
 _SCALE_FLOOR = 1e-30
 
 # Time levels per broadcast field evaluation in pde_residual and
-# _evolve_single; blocks bound their temporaries (and peak RSS).
-_FIELD_BLOCK = 16
+# _evolve_single, the same block cn_evolve builds its step coefficients
+# over; blocks bound their temporaries (and peak RSS).
+_FIELD_BLOCK = _kernels.LEVEL_BLOCK
 
 
 @dataclass(frozen=True)
@@ -203,11 +204,13 @@ def _fd_terms(system, x, ts, fd_step):
     h_t = fd_step if fd_step is not None else 1e-4 * np.maximum(1.0, np.abs(t))
     h_x = fd_step if fd_step is not None else 1e-4 * np.maximum(1.0, np.abs(x))
 
-    # One field evaluation per stencil offset: k*h_t in t, k*h_x in x.
-    p_t = {k: eval_fields(system, x, t + k * h_t)[0] for k in (-2, -1, 1, 2)}
-    at_x = {k: eval_fields(system, x + k * h_x, t) for k in (-2, -1, 0, 1, 2)}
-    cp = {k: c * p for k, (p, _, c, _) in at_x.items()}
-    dp = {k: d * p for k, (p, d, _, _) in at_x.items()}
+    # One field evaluation per stencil offset: k*h_t in t, k*h_x in x; only
+    # the centre needs R.
+    p_t = {k: eval_fields(system, x, t + k * h_t, "P")[0] for k in (-2, -1, 1, 2)}
+    at_x = {k: eval_fields(system, x + k * h_x, t, "PDCR" if k == 0 else "PDC")
+            for k in (-2, -1, 0, 1, 2)}
+    cp = {k: f[2] * f[0] for k, f in at_x.items()}
+    dp = {k: f[1] * f[0] for k, f in at_x.items()}
     dt_p = (-p_t[2] + 8 * p_t[1] - 8 * p_t[-1] + p_t[-2]) / (12 * h_t)
     dx_cp = (-cp[2] + 8 * cp[1] - 8 * cp[-1] + cp[-2]) / (12 * h_x)
     dxx_dp = (
@@ -376,28 +379,26 @@ def _evolve_single(system, x, t0, t1, nt):
     levels = t0 + dt * np.arange(nt + 1)
     halves = t0 + dt * (np.arange(nt) + 0.5)
 
+    # Only what the stepper reads: D and C at the levels, R at the half
+    # steps, P on the t0 row and the two boundary columns.
+    p0 = eval_fields(system, x[None, :], levels[:1, None], "P")[0][0]
+    bc = eval_fields(system, x[None, [0, -1]], levels[:, None], "P")[0]
     d_levels = np.empty((nt + 1, nx))
     c_levels = np.empty((nt + 1, nx))
-    bc_left = np.empty(nt + 1)
-    bc_right = np.empty(nt + 1)
     r_half = np.empty((nt, nx))
     # Blocked: one broadcast over all levels raised certify's peak RSS by a quarter.
     for start in range(0, nt + 1, _FIELD_BLOCK):
         block = slice(start, start + _FIELD_BLOCK)
-        p, d, c, _ = eval_fields(system, x[None, :], levels[block, None])
-        if start == 0:
-            p0 = p[0]
-        d_levels[block] = d
-        c_levels[block] = c
-        bc_left[block] = p[:, 0]
-        bc_right[block] = p[:, -1]
+        d_levels[block], c_levels[block] = eval_fields(
+            system, x[None, :], levels[block, None], "DC")
         if start < nt:  # the last block may hold level nt alone
-            r_half[block] = eval_fields(system, x[None, :], halves[block, None])[3]
+            r_half[block] = eval_fields(
+                system, x[None, :], halves[block, None], "R")[0]
 
     p_num = _kernels.cn_evolve(
-        p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h
+        p0, d_levels, c_levels, r_half, bc[:, 0], bc[:, 1], dt, h
     )
-    p_exact = eval_fields(system, x, t1)[0]
+    p_exact = eval_fields(system, x, t1, "P")[0]
     blowup = 1e6 * max(float(np.max(np.abs(p0))), float(np.max(np.abs(p_exact))))
     if not np.all(np.isfinite(p_num)) or float(np.max(np.abs(p_num))) > blowup:
         raise RuntimeError(
@@ -422,7 +423,7 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec, t0: float, t1: float,
         raise ValueError(f"need 0 < t0 <= t1, got t0={t0}, t1={t1}")
     base_x = grid.x_points()
     if t1 == t0:
-        p0 = eval_fields(system, base_x, t0)[0]
+        p0 = eval_fields(system, base_x, t0, "P")[0]
         return EvolveReport(
             x=base_x, field=p0, entries=((grid.nx, grid.nt, 0.0),), orders=()
         )

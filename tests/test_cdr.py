@@ -164,6 +164,46 @@ class TestEvalFields:
                                        rtol=1e-9, atol=1e-12)
 
 
+def _selection_systems(family):
+    return {
+        "fpe": build_fpe(family, 1, 2, 0.8),
+        "case_a": build_case_a(family, 1.2, n=3, m=1),
+        "case_b": build_case_b(family, 1.0, n=3, s=1, n_prime=1, s_prime=3,
+                               coeff_a=1.5, coeff_b=2.5),
+    }
+
+
+class TestFieldSelection:
+    X = np.linspace(0.2, 6.0, 73)
+    LEVELS = 1.0 + 0.025 * np.arange(38)  # nt + 1 levels for nt = 37
+
+    @pytest.mark.parametrize("case", ["fpe", "case_a", "case_b"])
+    @pytest.mark.parametrize("fields", ["P", "DC", "R", "PDC", "PDCR"])
+    def test_selection_equals_full_call(self, family, case, fields):
+        system = _selection_systems(family)[case]
+        x, levels = self.X, self.LEVELS
+        for args in ((x, 1.3),                                # scalar t
+                     (x[None, :], levels[:16, None]),         # (16, nx) block
+                     (x[None, [0, -1]], levels[:, None])):    # (nt + 1, 2)
+            full = dict(zip("PDCR", eval_fields(system, *args)))
+            got = eval_fields(system, *args, fields)
+            assert len(got) == len(fields)
+            for name, field in zip(fields, got):
+                assert np.array_equal(field, full[name]), (args, name)
+
+    @pytest.mark.parametrize("case", ["fpe", "case_a", "case_b"])
+    def test_boundary_columns_equal_full_grid_columns(self, family, case):
+        system = _selection_systems(family)[case]
+        x, levels = self.X, self.LEVELS[:, None]
+        cols = eval_fields(system, x[None, [0, -1]], levels, "P")[0]
+        assert np.array_equal(cols, eval_fields(system, x[None, :], levels)[0][:, [0, -1]])
+
+    @pytest.mark.parametrize("fields", ["", "X", "RP", "PP", "pd"])
+    def test_bad_selection_rejected(self, fig1, fields):
+        with pytest.raises(ValueError, match="fields"):
+            eval_fields(fig1, XS, 1.0, fields)
+
+
 class TestSwap:
     def test_involution(self, fig1):
         back = swap(swap(fig1))

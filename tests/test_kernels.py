@@ -51,6 +51,19 @@ class TestThomasKernel:
         assert result.dtype == np.float64 and result.shape == (n,)
         np.testing.assert_allclose(result, expected, rtol=1e-11)
 
+    def test_zero_pivot_in_row_0_raises(self):
+        ones = np.ones(4)
+        with pytest.raises(ZeroDivisionError):
+            _kernels.thomas_solve(ones, np.array([0.0, 1.0, 1.0, 1.0]), ones, ones)
+
+    def test_zero_pivot_in_interior_row_raises(self):
+        # pivots 2, 1 - 1 * (1/2) = 1/2, then 2 - 1 * (1 / (1/2)) = 0 at row 2
+        lower = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+        diag = np.array([2.0, 1.0, 2.0, 1.0, 1.0])
+        upper = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+        with pytest.raises(ZeroDivisionError):
+            _kernels.thomas_solve(lower, diag, upper, np.ones(5))
+
 
 def _dense_operator(d, c, h):
     """Central-difference d_xx(D .) - d_x(C .) with zero boundary rows."""
@@ -80,18 +93,83 @@ def _dense_crank_nicolson(p0, d, c, r, bcl, bcr, dt, h):
     return p
 
 
+def _index_loop_thomas(lower, diag, upper, rhs):
+    """Thomas solve indexing the rows one by one (the pre-blocking kernel)."""
+    lower, diag, upper, rhs = (a.tolist() for a in (lower, diag, upper, rhs))
+    n = len(diag)
+    c_prev = upper[0] / diag[0]
+    d_prev = rhs[0] / diag[0]
+    cp = [c_prev]
+    dp = [d_prev]
+    for i in range(1, n):
+        lo = lower[i]
+        denom = diag[i] - lo * c_prev
+        c_prev = upper[i] / denom
+        d_prev = (rhs[i] - lo * d_prev) / denom
+        cp.append(c_prev)
+        dp.append(d_prev)
+    x = [0.0] * n
+    x_next = x[n - 1] = d_prev
+    for i in range(n - 2, -1, -1):
+        x_next = x[i] = dp[i] - cp[i] * x_next
+    return np.array(x)
+
+
+def _per_step_cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
+    """Crank-Nicolson with the band coefficients built step by step."""
+    nt = r_half.shape[0]
+    nx = p0.shape[0]
+    p = p0.copy()
+    inv_h2 = 1.0 / (h * h)
+    inv_2h = 0.5 / h
+    for step in range(nt):
+        d_old = d_levels[step]
+        c_old = c_levels[step]
+        d_new = d_levels[step + 1]
+        c_new = c_levels[step + 1]
+
+        lo_old = d_old[:-2] * inv_h2 + c_old[:-2] * inv_2h
+        mid_old = -2.0 * d_old[1:-1] * inv_h2
+        hi_old = d_old[2:] * inv_h2 - c_old[2:] * inv_2h
+        rhs = np.empty(nx)
+        rhs[1:-1] = p[1:-1] + 0.5 * dt * (
+            lo_old * p[:-2] + mid_old * p[1:-1] + hi_old * p[2:]
+        ) + dt * r_half[step, 1:-1]
+        rhs[0] = bc_left[step + 1]
+        rhs[-1] = bc_right[step + 1]
+
+        lower = np.zeros(nx)
+        diag = np.ones(nx)
+        upper = np.zeros(nx)
+        lower[1:-1] = -0.5 * dt * (d_new[:-2] * inv_h2 + c_new[:-2] * inv_2h)
+        diag[1:-1] = 1.0 + dt * d_new[1:-1] * inv_h2
+        upper[1:-1] = -0.5 * dt * (d_new[2:] * inv_h2 - c_new[2:] * inv_2h)
+
+        p = _index_loop_thomas(lower, diag, upper, rhs)
+    return p
+
+
+def _cn_inputs(nx, nt, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.random(nx),
+            0.5 + 0.1 * rng.random((nt + 1, nx)),
+            0.2 * rng.standard_normal((nt + 1, nx)),
+            0.05 * rng.standard_normal((nt, nx)),
+            rng.random(nt + 1), rng.random(nt + 1), 1e-2, 0.1)
+
+
 class TestCnKernel:
     def test_paths_agree(self):
-        rng = np.random.default_rng(5)
-        nx, nt = 40, 12
-        p0 = rng.random(nx)
-        d = 0.5 + 0.1 * rng.random((nt + 1, nx))
-        c = 0.2 * rng.standard_normal((nt + 1, nx))
-        r = 0.05 * rng.standard_normal((nt, nx))
-        bcl = rng.random(nt + 1)
-        bcr = rng.random(nt + 1)
-        args = (p0, d, c, r, bcl, bcr, 1e-2, 0.1)
+        args = _cn_inputs(40, 12, seed=5)
         np.testing.assert_allclose(
             _kernels.cn_evolve(*args), _dense_crank_nicolson(*args),
             rtol=1e-12, atol=1e-14,
         )
+
+    # the run ends below, on and across the edge of a coefficient block
+    @pytest.mark.parametrize("nt", [5, 16, 37])
+    def test_blocked_coefficients_equal_per_step_build(self, nt):
+        assert _kernels.LEVEL_BLOCK == 16
+        args = _cn_inputs(40, nt, seed=nt)
+        assert np.array_equal(_kernels.cn_evolve(*args),
+                              _per_step_cn_evolve(*args))

@@ -544,6 +544,20 @@ class TestEvolveOracle:
         rep = evolve_oracle(fig1, grid, 1.0, 2.0, refinements=2)
         assert 3.5 <= rep.entries[0][2] / rep.entries[1][2] <= 4.5
 
+    @pytest.mark.parametrize("double", ["alt_reaction_exponent",
+                                        "alt_convection_profile"])
+    def test_inconsistent_system_loses_second_order(self, fig1, double, request):
+        # The CN solution of the double's own D, C and R does not converge
+        # to its P: the error ratio stays near 1 (measured 1.00015 for both),
+        # where the exact system gives 4.017 on this grid.
+        wrong = request.getfixturevalue(double)(fig1)
+        x_hi = positive_diffusion_x_max(fig1, 1.0, 8.0)
+        grid = GridSpec(x_min=0.2, x_max=x_hi, nx=200, t_min=1.0, t_max=2.0,
+                        nt=100)
+        rep = evolve_oracle(wrong, grid, 1.0, 2.0, refinements=2)
+        ratio = rep.entries[0][2] / rep.entries[1][2]
+        assert not 3.5 <= ratio <= 4.5
+
     def test_error_decreases_monotonically_for_all_systems(self, family, fig1):
         systems = [
             build_fpe(family, 0, 0, 1.0),
