@@ -4,8 +4,8 @@ problems, plus the numerical oracles that certify them."""
 
 from .cdr import (CaseTag, CdrSystem, build_case_a, build_case_b, build_fpe,
                   eval_fields, swap)
-from .mathfn import (QuadratureError, QuadratureSpec, fd_derivative,
-                     gaussian_tail_cutoff, integrate, laguerre, laguerre_deriv)
+from .mathfn import (QuadratureError, QuadratureSpec, gaussian_tail_cutoff,
+                     integrate, laguerre)
 from .quantum import (DEFAULT_X_MIN, Eigenstate, OscillatorParams,
                       RadialOscillatorFamily, base_potential, darboux_partner,
                       darboux_state)

@@ -1,4 +1,4 @@
-"""Special functions, adaptive quadrature, and finite-difference stencils.
+"""Special functions and adaptive quadrature.
 
 Everything here is a pure function; the rest of the package builds on
 these primitives.
@@ -17,9 +17,7 @@ __all__ = [
     "QuadratureError",
     "gaussian_tail_cutoff",
     "laguerre",
-    "laguerre_deriv",
     "integrate",
-    "fd_derivative",
 ]
 
 
@@ -80,19 +78,6 @@ def laguerre(n: int, a: float, y):
     if np.ndim(y) == 0:
         return float(out[0])
     return out
-
-
-def laguerre_deriv(n: int, a: float, y):
-    """d/dy L_n^a(y), via the identity d/dy L_n^a = -L_{n-1}^{a+1}."""
-    if n < 0:
-        raise ValueError(f"degree n must be >= 0, got {n}")
-    if a <= -1.0:
-        raise ValueError(f"parameter a must be > -1, got {a}")
-    if n == 0:
-        return 0.0 if (np.isscalar(y) or np.ndim(y) == 0) else np.zeros_like(
-            np.asarray(y, dtype=np.float64)
-        )
-    return -laguerre(n - 1, a + 1.0, y)
 
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1]. The 7-point Gauss rule
@@ -175,23 +160,3 @@ def integrate(f, lower: float, spec: QuadratureSpec = QuadratureSpec()) -> float
         heapq.heappush(heap, (-err_r, mid, b, val_r))
     return total
 
-
-def fd_derivative(f, x: float, order: int, h: float | None = None) -> float:
-    """4th-order central difference of ``f`` at ``x``.
-
-    ``order`` is 1 or 2. The default step 1e-4 * max(1, |x|) balances
-    truncation against round-off at double precision; callers doing
-    convergence studies pass ``h`` explicitly.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if h is None:
-        h = 1e-4 * max(1.0, abs(x))
-    fm2 = f(x - 2.0 * h)
-    fm1 = f(x - h)
-    fp1 = f(x + h)
-    fp2 = f(x + 2.0 * h)
-    if order == 1:
-        return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-    f0 = f(x)
-    return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)

@@ -35,11 +35,6 @@ __all__ = [
 # finite where every field vanishes (large x).
 _SCALE_FLOOR = 1e-30
 
-# Time levels per broadcast field evaluation in pde_residual and
-# _evolve_single, the same block cn_evolve builds its step coefficients
-# over; blocks bound their temporaries (and peak RSS).
-_FIELD_BLOCK = _kernels.LEVEL_BLOCK
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -231,9 +226,9 @@ def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
     ``max_rel`` normalizes pointwise by
     max(|P|, |d/dx(CP)|, |d2/dx2(DP)|, |R|) plus a tiny floor.
 
-    The terms are evaluated over blocks of ``_FIELD_BLOCK`` time levels,
-    with the analytic time factors taken level by level, so every value
-    equals that of a per-level evaluation.
+    The terms are evaluated over blocks of ``_kernels.LEVEL_BLOCK`` time
+    levels, with the analytic time factors taken level by level, so every
+    value equals that of a per-level evaluation.
     """
     if mode not in ("analytic", "finite-difference"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -244,8 +239,8 @@ def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
     residuals = np.empty((grid.nt, grid.nx))
     scales = np.empty((grid.nt, grid.nx))
     # Blocked: one broadcast over all levels holds about 20 (nt, nx) temporaries.
-    for start in range(0, grid.nt, _FIELD_BLOCK):
-        block = slice(start, start + _FIELD_BLOCK)
+    for start in range(0, grid.nt, _kernels.LEVEL_BLOCK):
+        block = slice(start, start + _kernels.LEVEL_BLOCK)
         if mode == "analytic":
             p, dt_p, dx_cp, dxx_dp, reac = _analytic_terms(system, x, ts[block])
         else:
@@ -323,7 +318,8 @@ def positive_diffusion_x_max(system: CdrSystem, t_min: float,
     the usable region by x < z* * t_min^alpha (for alpha > 0); the bound
     returned keeps a 5 % gap from the degenerate boundary. z* is bracketed
     on 4096 samples, then bisected. ``t_min`` and ``x_max`` must be finite
-    numbers above 0.
+    numbers above 0. Raises ValueError naming B when D is not positive
+    next to x = 0 (at its first non-zero sample), where no such x exists.
     """
     alpha = system.alpha
     if alpha <= 0:
@@ -334,6 +330,10 @@ def positive_diffusion_x_max(system: CdrSystem, t_min: float,
     z_hi = x_max / t_min ** alpha
     zs = np.linspace(z_hi / 4096, z_hi, 4096)
     sig = np.asarray(system.diffusion(zs))
+    nonzero = sig[sig != 0.0]
+    if nonzero.size and not nonzero[0] > 0.0:
+        raise ValueError(f"diffusion D is not positive next to x = 0 "
+                         f"(B = {system.coeff_b:g}): time stepping needs B > 0")
     sign_change = np.nonzero(sig[:-1] * sig[1:] < 0.0)[0]
     if sign_change.size == 0:
         return x_max
@@ -358,18 +358,14 @@ class EvolveReport:
     """Crank-Nicolson cross-check results.
 
     ``entries`` holds (nx, nt, l2_error) per resolution, coarsest first;
-    ``orders`` the observed convergence order between consecutive levels.
-    ``field`` is the numeric solution at t1 on the coarsest grid.
+    ``ratios[k]`` is entries[k]'s error over entries[k + 1]'s, about 4
+    when the stepper converges at second order. ``field`` is the numeric
+    solution at ``grid.t_max`` on the coarsest grid.
     """
 
-    x: np.ndarray
     field: np.ndarray
     entries: tuple
-    orders: tuple
-
-    @property
-    def l2_error(self) -> float:
-        return self.entries[0][2]
+    ratios: tuple
 
 
 def _evolve_single(system, x, t0, t1, nt):
@@ -387,8 +383,8 @@ def _evolve_single(system, x, t0, t1, nt):
     c_levels = np.empty((nt + 1, nx))
     r_half = np.empty((nt, nx))
     # Blocked: one broadcast over all levels raised certify's peak RSS by a quarter.
-    for start in range(0, nt + 1, _FIELD_BLOCK):
-        block = slice(start, start + _FIELD_BLOCK)
+    for start in range(0, nt + 1, _kernels.LEVEL_BLOCK):
+        block = slice(start, start + _kernels.LEVEL_BLOCK)
         d_levels[block], c_levels[block] = eval_fields(
             system, x[None, :], levels[block, None], "DC")
         if start < nt:  # the last block may hold level nt alone
@@ -410,38 +406,28 @@ def _evolve_single(system, x, t0, t1, nt):
     return p_num, err
 
 
-def evolve_oracle(system: CdrSystem, grid: GridSpec, t0: float, t1: float,
+def evolve_oracle(system: CdrSystem, grid: GridSpec,
                   refinements: int = 2) -> EvolveReport:
-    """Integrate the PDE numerically from analytic data at t0 and compare at t1.
+    """Integrate the PDE numerically from analytic data at ``grid.t_min``
+    and compare with the closed form at ``grid.t_max``.
 
     Crank-Nicolson in conservative form with the closed-form reaction as a
     known source at the half step and analytic Dirichlet values at both
-    ends. Runs ``refinements`` resolutions, doubling nx and nt each time,
-    and reports the discrete L2 errors and observed orders.
+    ends. Runs ``refinements`` resolutions from ``grid.nx`` by ``grid.nt``,
+    doubling both each time, and reports the discrete L2 errors and their
+    ratios. A grid with t_min == t_max has nothing to integrate and raises
+    ValueError.
     """
-    if not 0.0 < t0 <= t1:
-        raise ValueError(f"need 0 < t0 <= t1, got t0={t0}, t1={t1}")
-    base_x = grid.x_points()
-    if t1 == t0:
-        p0 = eval_fields(system, base_x, t0, "P")[0]
-        return EvolveReport(
-            x=base_x, field=p0, entries=((grid.nx, grid.nt, 0.0),), orders=()
-        )
-    entries = []
-    base_field = None
+    if grid.t_min == grid.t_max:
+        raise ValueError(f"need t_min < t_max, got both {grid.t_min}")
+    fields, entries = [], []
     for level in range(max(1, refinements)):
         nx = grid.nx * 2 ** level
         nt = grid.nt * 2 ** level
         x = np.linspace(grid.x_min, grid.x_max, nx)
-        p_num, err = _evolve_single(system, x, t0, t1, nt)
-        if level == 0:
-            base_field = p_num
+        p_num, err = _evolve_single(system, x, grid.t_min, grid.t_max, nt)
+        fields.append(p_num)
         entries.append((nx, nt, err))
-    orders = tuple(
-        float(np.log2(entries[k][2] / entries[k + 1][2]))
-        for k in range(len(entries) - 1)
-        if entries[k + 1][2] > 0.0
-    )
-    return EvolveReport(
-        x=base_x, field=base_field, entries=tuple(entries), orders=orders
-    )
+    ratios = tuple(entries[k][2] / entries[k + 1][2]
+                   for k in range(len(entries) - 1))
+    return EvolveReport(field=fields[0], entries=tuple(entries), ratios=ratios)

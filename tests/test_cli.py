@@ -219,6 +219,34 @@ class TestVerifyCommand:
             assert re.fullmatch(pattern, line), line
         assert lines[-1] == "verification: PASS"
 
+    def test_tol_overrides_every_single_bound_row(self, capsys):
+        assert run(["--tol", "1e-3", "verify"]) == 0
+        rows = capsys.readouterr().out.splitlines()[:-1]
+        assert len(rows) == 6
+        for row in rows[:5]:
+            assert "  <= 0.001 " in row, row
+        assert "  in [3.5, 4.5] " in rows[5]
+
+    def test_negative_diffusion_exits_2_naming_b(self, tmp_path, capsys):
+        # D = B u_sigma is negative next to x = 0: no domain to step on
+        config = write_config(tmp_path, B=-3.0)
+        assert run(["--config", str(config), "verify"]) == 2
+        captured = capsys.readouterr()
+        assert "(B = -3)" in captured.err
+        assert captured.out == ""
+
+    def test_diffusion_node_below_x_min_exits_2_naming_it(self, tmp_path,
+                                                          capsys):
+        # the diffusion profile's first node at t = 1 lies near x = 0.183,
+        # below grid.x_min = 0.2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "omega": 20.0, "ell": 0.5, "alpha": 1.0, "case": "fpe", "n": 10,
+            "s": 0, "grid": {"x_min": 0.2, "x_max": 2.0}}))
+        assert run(["--config", str(config), "verify"]) == 2
+        err = capsys.readouterr().err
+        assert "'grid.x_min' = 0.2 must lie below x = 0.173756" in err
+
     def test_absurd_tolerance_fails_with_exit_1(self, capsys):
         assert run(["--tol", "1e-20", "verify"]) == 1
         assert "FAIL" in capsys.readouterr().out

@@ -1,11 +1,12 @@
 """Special-function and quadrature tests.
 
 The Laguerre recurrence is checked against an explicit series sum, the
-derivative identity against finite differences, and the quadrature
-against closed-form integrals. The series
-and finite-difference oracles live here, independent of the package;
-the sweep oracles run in extended precision because the float64 series
-loses up to eight digits to cancellation near n = 10, y = 30.
+derivative identity that ``Eigenstate.deriv`` applies,
+d/dy L_n^a = -L_{n-1}^{a+1}, against finite differences of that sum, and
+the quadrature against closed-form integrals. The series and
+finite-difference oracles live here, independent of the package; the
+sweep oracles run in extended precision because the float64 series loses
+up to eight digits to cancellation near n = 10, y = 30.
 """
 
 import math
@@ -14,9 +15,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from susycdr.mathfn import (QuadratureError, QuadratureSpec, fd_derivative,
-                            gaussian_tail_cutoff, integrate, laguerre,
-                            laguerre_deriv)
+from susycdr._kernels import laguerre_values
+from susycdr.mathfn import (QuadratureError, QuadratureSpec,
+                            gaussian_tail_cutoff, integrate, laguerre)
 
 mpmath.mp.dps = 40
 
@@ -80,36 +81,35 @@ class TestLaguerre:
             laguerre(-1, 0.5, 1.0)
 
 
+def laguerre_slope(n, a, y):
+    """-L_{n-1}^{a+1}(y) on the array ``y``, as ``Eigenstate.deriv`` forms
+    d/dy L_n^a (zero for n = 0)."""
+    if n == 0:
+        return np.zeros_like(y)
+    return -laguerre_values(n - 1, a + 1.0, y)
+
+
 class TestLaguerreDeriv:
-    def test_degree_zero(self):
-        assert laguerre_deriv(0, 0.5, 1.0) == 0.0
-
-    def test_degree_one(self):
-        assert laguerre_deriv(1, 0.5, 2.0) == pytest.approx(-1.0, abs=1e-15)
-
     def test_degree_two_against_fd_oracle(self):
         # central finite difference of the series sum at step 1e-6
         h = 1e-6
         fd = (laguerre_series(2, 1.5, 1.0 + h)
               - laguerre_series(2, 1.5, 1.0 - h)) / (2 * h)
         assert fd == pytest.approx(-2.5, abs=1e-8)
-        assert laguerre_deriv(2, 1.5, 1.0) == pytest.approx(fd, abs=1e-8)
+        slope = laguerre_slope(2, 1.5, np.array([1.0]))[0]
+        assert slope == pytest.approx(fd, abs=1e-8)
 
     @pytest.mark.parametrize("a", [0.5, 1.5, 2.5])
     @pytest.mark.parametrize("n", range(11))
     def test_identity_matches_fd(self, n, a):
         h = mpmath.mpf("1e-8")
-        for y in np.linspace(0.5, 29.5, 8):
-            y = float(y)
+        ys = np.linspace(0.5, 29.5, 8)
+        for y, slope in zip(ys.tolist(), laguerre_slope(n, a, ys).tolist()):
             fd = float(
                 (laguerre_series_mp(n, a, mpmath.mpf(y) + h)
                  - laguerre_series_mp(n, a, mpmath.mpf(y) - h)) / (2 * h)
             )
-            assert abs(laguerre_deriv(n, a, y) - fd) <= 1e-6
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            laguerre_deriv(2, -1.5, 1.0)
+            assert abs(slope - fd) <= 1e-6
 
 
 class TestIntegrate:
@@ -161,27 +161,3 @@ class TestIntegrate:
             x = gaussian_tail_cutoff(omega)
             assert math.exp(-omega * x * x / 4.0) < 1e-15
 
-
-class TestFdDerivative:
-    def test_second_derivative_of_square(self):
-        for x in (-2.0, 0.3, 5.0):
-            assert fd_derivative(lambda u: u * u, x, order=2) == pytest.approx(
-                2.0, abs=1e-7
-            )
-
-    def test_first_derivative_of_sin(self):
-        assert fd_derivative(math.sin, 0.0, order=1) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_fourth_order_convergence(self):
-        # error of d/dx exp(x) at 0 should drop ~16x per halving of h
-        errs = []
-        for h in (0.2, 0.1, 0.05):
-            errs.append(abs(fd_derivative(math.exp, 0.0, order=1, h=h) - 1.0))
-        assert errs[0] / errs[1] > 12.0
-        assert errs[1] / errs[2] > 12.0
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            fd_derivative(math.sin, 0.0, order=3)

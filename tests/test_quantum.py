@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from susycdr._kernels import laguerre_values
-from susycdr.mathfn import _K15_NODES, QuadratureSpec, fd_derivative, integrate
+from susycdr.mathfn import _K15_NODES, QuadratureSpec, integrate
 from susycdr.quantum import (DEFAULT_X_MIN, Eigenstate, OscillatorParams,
                              RadialOscillatorFamily, base_potential,
                              darboux_partner, darboux_state)
 from susycdr.verify import GridSpec, node_count, schrodinger_residual
+
+from test_fd_stencil import fd_derivative
 
 
 @pytest.fixture(scope="module")

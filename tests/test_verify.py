@@ -291,7 +291,7 @@ class TestPdeResidual:
 
         monkeypatch.setattr(verify, "eval_fields", counted)
         pde_residual(fig1, GridSpec(nx=400, nt=20), mode="finite-difference")
-        assert len(calls) == 9 * math.ceil(20 / verify._FIELD_BLOCK) == 18
+        assert len(calls) == 9 * math.ceil(20 / _kernels.LEVEL_BLOCK) == 18
 
     @pytest.mark.parametrize("fd_step", [0.0, -1e-3, math.nan, math.inf])
     def test_rejects_bad_fd_step(self, fig1, fd_step):
@@ -469,6 +469,14 @@ class TestPositiveDiffusionXMax:
         with pytest.raises(ValueError, match=name):
             positive_diffusion_x_max(fig1, t_min, x_max)
 
+    def test_negative_diffusion_near_origin_rejected(self, fig1):
+        # D = B u_sigma with u_sigma > 0 next to x = 0: B < 0 leaves no x
+        # with D > 0 below the first node
+        flipped = dataclasses.replace(fig1, coeff_b=-3.0)
+        assert np.all(flipped.diffusion(np.linspace(1e-3, 3.0, 100)) < 0.0)
+        with pytest.raises(ValueError, match=r"\(B = -3\)"):
+            positive_diffusion_x_max(flipped, 1.0, 8.0)
+
 
 def _systems(family):
     return {
@@ -512,7 +520,7 @@ class TestEvolveOracle:
         x_hi = positive_diffusion_x_max(fig1, 1.0, 8.0)
         grid = GridSpec(x_min=0.2, x_max=x_hi, nx=40, t_min=1.0, t_max=2.0,
                         nt=nt)
-        rep = evolve_oracle(fig1, grid, 1.0, 2.0, refinements=2)
+        rep = evolve_oracle(fig1, grid, refinements=2)
         for level, (nx, steps, err) in enumerate(rep.entries):
             assert (nx, steps) == (40 * 2 ** level, nt * 2 ** level)
             x = np.linspace(0.2, x_hi, nx)
@@ -521,28 +529,30 @@ class TestEvolveOracle:
             if level == 0:
                 assert np.array_equal(rep.field, p_num)
 
-    def test_no_evolution_no_error(self, family):
+    def test_no_evolution_rejected(self, family):
         system = build_fpe(family, 0, 0, 1.0)
-        grid = GridSpec(nx=50, nt=10)
-        rep = evolve_oracle(system, grid, t0=1.0, t1=1.0)
-        assert rep.entries == ((50, 10, 0.0),)
+        grid = GridSpec(nx=50, t_min=1.0, t_max=1.0, nt=10)
+        with pytest.raises(ValueError, match="t_min < t_max"):
+            evolve_oracle(system, grid)
 
     def test_fpe_second_order(self, family):
         system = build_fpe(family, 0, 0, 1.0)
         grid = GridSpec(x_min=0.2, x_max=8.0, nx=100, t_min=1.0, t_max=2.0,
                         nt=50)
-        rep = evolve_oracle(system, grid, 1.0, 2.0, refinements=3)
+        rep = evolve_oracle(system, grid, refinements=3)
         errs = [entry[2] for entry in rep.entries]
         assert errs[0] > errs[1] > errs[2]
-        for order in rep.orders:
-            assert 1.7 <= order <= 2.3
+        assert len(rep.ratios) == 2
+        for ratio in rep.ratios:
+            assert 1.7 <= math.log2(ratio) <= 2.3
 
     def test_fig1_second_order_on_parabolic_domain(self, fig1):
         x_hi = positive_diffusion_x_max(fig1, 1.0, 8.0)
         grid = GridSpec(x_min=0.2, x_max=x_hi, nx=100, t_min=1.0, t_max=2.0,
                         nt=50)
-        rep = evolve_oracle(fig1, grid, 1.0, 2.0, refinements=2)
-        assert 3.5 <= rep.entries[0][2] / rep.entries[1][2] <= 4.5
+        rep = evolve_oracle(fig1, grid, refinements=2)
+        assert rep.ratios == (rep.entries[0][2] / rep.entries[1][2],)
+        assert 3.5 <= rep.ratios[0] <= 4.5
 
     @pytest.mark.parametrize("double", ["alt_reaction_exponent",
                                         "alt_convection_profile"])
@@ -554,9 +564,8 @@ class TestEvolveOracle:
         x_hi = positive_diffusion_x_max(fig1, 1.0, 8.0)
         grid = GridSpec(x_min=0.2, x_max=x_hi, nx=200, t_min=1.0, t_max=2.0,
                         nt=100)
-        rep = evolve_oracle(wrong, grid, 1.0, 2.0, refinements=2)
-        ratio = rep.entries[0][2] / rep.entries[1][2]
-        assert not 3.5 <= ratio <= 4.5
+        rep = evolve_oracle(wrong, grid, refinements=2)
+        assert not 3.5 <= rep.ratios[0] <= 4.5
 
     def test_error_decreases_monotonically_for_all_systems(self, family, fig1):
         systems = [
@@ -571,7 +580,7 @@ class TestEvolveOracle:
             x_hi = positive_diffusion_x_max(system, 1.0, 8.0)
             grid = GridSpec(x_min=0.2, x_max=x_hi, nx=80, t_min=1.0,
                             t_max=2.0, nt=40)
-            rep = evolve_oracle(system, grid, 1.0, 2.0, refinements=3)
+            rep = evolve_oracle(system, grid, refinements=3)
             errs = [entry[2] for entry in rep.entries]
             assert errs[0] > errs[1] > errs[2]
 
@@ -581,12 +590,12 @@ class TestEvolveOracle:
         grid = GridSpec(x_min=0.2, x_max=8.0, nx=100, t_min=1.0, t_max=2.0,
                         nt=50)
         with pytest.raises(RuntimeError, match="diverged"):
-            evolve_oracle(fig1, grid, 1.0, 2.0, refinements=1)
+            evolve_oracle(fig1, grid, refinements=1)
 
-    def test_time_order_validation(self, family):
-        system = build_fpe(family, 0, 0, 1.0)
-        with pytest.raises(ValueError):
-            evolve_oracle(system, GridSpec(), t0=2.0, t1=1.0)
+    def test_time_order_validation(self):
+        # the oracle's window is its grid's, which cannot run backward
+        with pytest.raises(ValueError, match="t_min <= t_max"):
+            GridSpec(t_min=2.0, t_max=1.0)
 
 
 class TestGridSpec:
