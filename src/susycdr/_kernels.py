@@ -15,7 +15,10 @@ def laguerre_table(n, a, y):
 
     L_0 is the scalar 1.0 (it broadcasts against ``y`` with the bits of an
     array of ones); every other entry is an array shaped like ``y``.
+    A negative ``n`` raises ValueError.
     """
+    if n < 0:
+        raise ValueError(f"Laguerre degree n must be >= 0, got {n}")
     y = np.asarray(y, dtype=np.float64)
     table = [1.0]
     if n >= 1:
@@ -69,12 +72,82 @@ def thomas_solve(lower, diag, upper, rhs):
 
 
 # ---------------------------------------------------------------------------
+# Odd-even (cyclic) reduction of a block of tridiagonal systems, rows as in
+# thomas_solve, one system per row of the (m, n) bands. Each level pads the
+# systems to odd length with identity rows, then eliminates the odd rows:
+# even row i gains the factors alpha = -lower[i]/diag[i-1] and
+# gamma = -upper[i]/diag[i+1]. Levels repeat until at most THOMAS_ROWS rows
+# remain for the sweep, which is then the only per-element Python loop.
+# ---------------------------------------------------------------------------
+
+THOMAS_ROWS = 64
+
+
+def _pad_odd(band, fill):
+    """``band`` with one more column of ``fill`` if its width is even
+    (np.pad takes about 6x as long at these sizes)."""
+    if band.shape[1] % 2:
+        return band
+    return np.concatenate((band, np.full((band.shape[0], 1), fill)), axis=1)
+
+
+def _reduce_bands(lower, diag, upper):
+    """Levels of odd-even elimination of the (m, n) bands, and the reduced
+    bands. Each level is (n, alpha, gamma, 1/b, a/b, c/b): its row count
+    before padding, the factors of the even rows and those of the odd
+    (eliminated) rows. An exactly zero pivot raises ZeroDivisionError."""
+    levels = []
+    while lower.shape[1] > THOMAS_ROWS:
+        n = lower.shape[1]
+        lower, diag, upper = (_pad_odd(lower, 0.0), _pad_odd(diag, 1.0),
+                              _pad_odd(upper, 0.0))
+        b_odd = diag[:, 1::2]
+        if not b_odd.all():
+            raise ZeroDivisionError("zero pivot in an eliminated row")
+        inv_b = 1.0 / b_odd
+        a_odd = lower[:, 1::2]
+        c_odd = upper[:, 1::2]
+        alpha = -lower[:, 2::2] * inv_b
+        gamma = -upper[:, :-1:2] * inv_b
+        diag = diag[:, ::2].copy()
+        diag[:, 1:] += alpha * c_odd
+        diag[:, :-1] += gamma * a_odd
+        lower = np.zeros_like(diag)
+        lower[:, 1:] = alpha * a_odd
+        upper = np.zeros_like(diag)
+        upper[:, :-1] = gamma * c_odd
+        levels.append((n, alpha, gamma, inv_b, a_odd * inv_b, c_odd * inv_b))
+    return levels, lower, diag, upper
+
+
+def _reduced_solve(levels, j, lower, diag, upper, rhs):
+    """Solve system j of a reduced block: reduce ``rhs`` level by level,
+    sweep the reduced system, then fill in the eliminated rows."""
+    kept = []
+    for n, alpha, gamma, _, _, _ in levels:
+        if n % 2 == 0:
+            rhs = np.append(rhs, 0.0)
+        odd = rhs[1::2]
+        rhs = rhs[::2].copy()
+        rhs[1:] += alpha[j] * odd
+        rhs[:-1] += gamma[j] * odd
+        kept.append(odd)
+    x = thomas_solve(lower[j], diag[j], upper[j], rhs)
+    for (n, _, _, inv_b, a_b, c_b), odd in zip(reversed(levels), reversed(kept)):
+        full = np.empty(2 * x.shape[0] - 1)
+        full[::2] = x
+        full[1::2] = odd * inv_b[j] - a_b[j] * x[:-1] - c_b[j] * x[1:]
+        x = full[:n]
+    return x
+
+
+# ---------------------------------------------------------------------------
 # Crank-Nicolson stepping for d_t P = -d_x(C P) + d_xx(D P) + R on a
 # uniform grid, central differences, Dirichlet values supplied per step.
 # d_levels/c_levels hold D and C at every time level (nt+1, nx);
 # r_half holds R at the half steps (nt, nx). Second order in h and dt.
-# The band coefficients of LEVEL_BLOCK steps are built in one numpy pass;
-# each keeps the expression (and bits) of a per-step build.
+# The band coefficients of LEVEL_BLOCK steps are built, and reduced to at
+# most THOMAS_ROWS rows, in one numpy pass per block.
 # ---------------------------------------------------------------------------
 
 def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
@@ -104,6 +177,8 @@ def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
         lower[:m, 1:-1] = -0.5 * dt * lo[1:]
         diag[:m, 1:-1] = 1.0 + dt * d[1:, 1:-1] * inv_h2
         upper[:m, 1:-1] = -0.5 * dt * hi[1:]
+        levels, red_lower, red_diag, red_upper = _reduce_bands(
+            lower[:m], diag[:m], upper[:m])
 
         for j in range(m):
             rhs[1:-1] = p[1:-1] + 0.5 * dt * (
@@ -111,5 +186,5 @@ def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
             ) + dt_r[j]
             rhs[0] = bc_left[start + j + 1]
             rhs[-1] = bc_right[start + j + 1]
-            p = thomas_solve(lower[j], diag[j], upper[j], rhs)
+            p = _reduced_solve(levels, j, red_lower, red_diag, red_upper, rhs)
     return p

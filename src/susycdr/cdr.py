@@ -211,8 +211,11 @@ def eval_fields(system: CdrSystem, x, t, fields: str = "PDCR"):
         raise ValueError("fields of the half-line family require x > 0")
     z = to_similarity(x_arr, t_arr, system.alpha)
     e = system.exponents
-    y = system.solution(z) if "P" in fields or "R" in fields else None
-    sig = system.diffusion(z) if fields != "P" else None  # D, C, R read sigma
+    # R reads y and sigma, except on fpe systems, whose reaction is zero
+    r_profiles = "R" in fields and system.case_tag is not CaseTag.FPE
+    y = system.solution(z) if "P" in fields or r_profiles else None
+    sig = (system.diffusion(z) if "D" in fields or "C" in fields or r_profiles
+           else None)
     out = []
     if "P" in fields:
         out.append(t_arr ** e.mu * y)

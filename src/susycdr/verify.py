@@ -415,13 +415,15 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec,
     known source at the half step and analytic Dirichlet values at both
     ends. Runs ``refinements`` resolutions from ``grid.nx`` by ``grid.nt``,
     doubling both each time, and reports the discrete L2 errors and their
-    ratios. A grid with t_min == t_max has nothing to integrate and raises
-    ValueError.
+    ratios. A grid with t_min == t_max has nothing to integrate, and
+    ``refinements`` below 1 runs nothing; both raise ValueError.
     """
     if grid.t_min == grid.t_max:
         raise ValueError(f"need t_min < t_max, got both {grid.t_min}")
+    if refinements < 1:
+        raise ValueError(f"refinements must be >= 1, got {refinements}")
     fields, entries = [], []
-    for level in range(max(1, refinements)):
+    for level in range(refinements):
         nx = grid.nx * 2 ** level
         nt = grid.nt * 2 ** level
         x = np.linspace(grid.x_min, grid.x_max, nx)

@@ -7,7 +7,8 @@ import pytest
 
 from susycdr.cdr import (CaseTag, build_case_a, build_case_b, build_fpe,
                          eval_fields, swap)
-from susycdr.quantum import OscillatorParams, RadialOscillatorFamily
+from susycdr.quantum import (Eigenstate, OscillatorParams,
+                             RadialOscillatorFamily)
 from susycdr.verify import GridSpec, ode_residual, pde_residual
 
 XS = np.linspace(0.4, 5.0, 40)
@@ -197,6 +198,22 @@ class TestFieldSelection:
         x, levels = self.X, self.LEVELS[:, None]
         cols = eval_fields(system, x[None, [0, -1]], levels, "P")[0]
         assert np.array_equal(cols, eval_fields(system, x[None, :], levels)[0][:, [0, -1]])
+
+    def test_fpe_reaction_evaluates_no_profile(self, family, monkeypatch):
+        system = _selection_systems(family)["fpe"]
+        args = (self.X[None, :], self.LEVELS[:16, None])
+        full = eval_fields(system, *args)[3]
+        points = []
+        state_call = Eigenstate.__call__
+
+        def counted(state, x):
+            points.append(np.size(x))
+            return state_call(state, x)
+
+        monkeypatch.setattr(Eigenstate, "__call__", counted)
+        (reaction,) = eval_fields(system, *args, "R")
+        assert sum(points) == 0
+        assert np.array_equal(reaction, full)
 
     @pytest.mark.parametrize("fields", ["", "X", "RP", "PP", "pd"])
     def test_bad_selection_rejected(self, fig1, fields):

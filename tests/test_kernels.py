@@ -1,5 +1,7 @@
 """The numpy kernels against dense linear-algebra references."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,12 @@ class TestLaguerreKernel:
         assert _kernels.laguerre_table(0, 1.5, y) == [1.0]
         out = _kernels.laguerre_values(0, 1.5, y)
         assert out.shape == y.shape and np.all(out == 1.0)
+
+    @pytest.mark.parametrize("fn", [_kernels.laguerre_table,
+                                    _kernels.laguerre_values])
+    def test_negative_degree_rejected(self, fn):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            fn(-1, 1.5, np.array([0.5, 2.0]))
 
 
 class TestThomasKernel:
@@ -170,6 +178,41 @@ class TestCnKernel:
     @pytest.mark.parametrize("nt", [5, 16, 37])
     def test_blocked_coefficients_equal_per_step_build(self, nt):
         assert _kernels.LEVEL_BLOCK == 16
-        args = _cn_inputs(40, nt, seed=nt)
-        assert np.array_equal(_kernels.cn_evolve(*args),
-                              _per_step_cn_evolve(*args))
+        # Up to THOMAS_ROWS rows the sweep sees the per-step bands and keeps
+        # their bits; odd-even reduction above that reorders the arithmetic.
+        for nx in (40, 200):
+            args = _cn_inputs(nx, nt, seed=nt)
+            got, ref = _kernels.cn_evolve(*args), _per_step_cn_evolve(*args)
+            if nx <= _kernels.THOMAS_ROWS:
+                assert np.array_equal(got, ref)
+            else:
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+
+    # no reduction at either parity, one level with and without padding,
+    # padding at both of two levels, three levels
+    @pytest.mark.parametrize("nx, levels", [
+        (8, 0), (9, 0), (10, 0), (33, 0), (64, 0), (65, 1), (66, 1),
+        (130, 2), (200, 2), (401, 3)])
+    def test_reduced_systems_match_dense_solve(self, nx, levels):
+        assert _kernels.THOMAS_ROWS == 64
+        args = _cn_inputs(nx, 20, seed=nx)
+        bands = (np.full((1, nx), -0.25), np.full((1, nx), 1.5),
+                 np.full((1, nx), -0.25))
+        assert len(_kernels._reduce_bands(*bands)[0]) == levels
+        np.testing.assert_allclose(
+            _kernels.cn_evolve(*args), _dense_crank_nicolson(*args),
+            rtol=1e-12, atol=1e-14,
+        )
+
+    def test_zero_pivot_in_eliminated_row_raises(self):
+        # h = 0.5 and dt = 0.25 make row 1's pivot 1 + dt * D / h^2 exactly
+        # 0 at D = -1; row 1 is eliminated before the sweep runs
+        nx, nt = 65, 3
+        d_levels = np.full((nt + 1, nx), 0.5)
+        d_levels[1, 1] = -1.0
+        args = (np.ones(nx), d_levels, np.zeros((nt + 1, nx)),
+                np.zeros((nt, nx)), np.ones(nt + 1), np.ones(nt + 1), 0.25, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before numpy divides
+            with pytest.raises(ZeroDivisionError):
+                _kernels.cn_evolve(*args)

@@ -535,6 +535,13 @@ class TestEvolveOracle:
         with pytest.raises(ValueError, match="t_min < t_max"):
             evolve_oracle(system, grid)
 
+    @pytest.mark.parametrize("refinements", [0, -1])
+    def test_no_refinement_rejected(self, family, refinements):
+        system = build_fpe(family, 0, 0, 1.0)
+        grid = GridSpec(nx=50, t_min=1.0, t_max=2.0, nt=10)
+        with pytest.raises(ValueError, match="refinements must be >= 1"):
+            evolve_oracle(system, grid, refinements=refinements)
+
     def test_fpe_second_order(self, family):
         system = build_fpe(family, 0, 0, 1.0)
         grid = GridSpec(x_min=0.2, x_max=8.0, nx=100, t_min=1.0, t_max=2.0,
