@@ -53,14 +53,12 @@ class QuadratureSpec:
     truncation_x_max: float = gaussian_tail_cutoff(1.0)
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.rel_tol <= 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.truncation_x_max <= 0:
-            raise ValueError(
-                f"truncation_x_max must be positive, got {self.truncation_x_max}"
-            )
+        for name in ("abs_tol", "rel_tol", "truncation_x_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"{name} must be a finite number above 0, got {value}"
+                )
 
 
 def laguerre(n: int, a: float, y):
@@ -80,40 +78,67 @@ def laguerre(n: int, a: float, y):
     return out
 
 
-# Gauss-Kronrod 7/15 nodes and weights on [-1, 1]. The 7-point Gauss rule
-# is embedded at the odd indices, so one function sweep serves both rules.
-_K15_NODES = np.array([
-    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
-    -0.7415311855993944, -0.5860872354676911, -0.4058451513773972,
-    -0.2077849550078985, 0.0, 0.2077849550078985, 0.4058451513773972,
-    0.5860872354676911, 0.7415311855993944, 0.8648644233597691,
-    0.9491079123427585, 0.9914553711208126,
+# Gauss-Kronrod 30/61 rule on [-1, 1] (QUADPACK qk61): the x >= 0 half,
+# centre first. The nodes are the roots of P_30 and of the Stieltjes
+# polynomial E_31, the weights solve the moment equations; both were
+# computed at 80 digits and rounded to the nearest float.
+_K61_X = np.array([
+    0.0, 0.0514718425553177, 0.10280693796673702, 0.15386991360858354,
+    0.20452511668230988, 0.25463692616788985, 0.30407320227362505,
+    0.3527047255308781, 0.4004012548303944, 0.44703376953808915,
+    0.49248046786177857, 0.5366241481420199, 0.5793452358263617,
+    0.6205261829892429, 0.6600610641266269, 0.6978504947933158,
+    0.7337900624532268, 0.7677774321048262, 0.799727835821839,
+    0.8295657623827684, 0.8572052335460612, 0.8825605357920527,
+    0.9055733076999078, 0.9262000474292743, 0.94437444474856,
+    0.9600218649683075, 0.9731163225011262, 0.9836681232797472,
+    0.9916309968704046, 0.9968934840746495, 0.9994844100504906,
 ])
-_K15_WEIGHTS = np.array([
-    0.0229353220105292, 0.0630920926299786, 0.1047900103222502,
-    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
-    0.2044329400752989, 0.2094821410847278, 0.2044329400752989,
-    0.1903505780647854, 0.1690047266392679, 0.1406532597155259,
-    0.1047900103222502, 0.0630920926299786, 0.0229353220105292,
+_K61_W = np.array([
+    0.05149472942945157, 0.05142612853745902, 0.051221547849258774,
+    0.05088179589874961, 0.05040592140278235, 0.04979568342707421,
+    0.04905543455502978, 0.04818586175708713, 0.04718554656929915,
+    0.04605923827100699, 0.04481480013316266, 0.04345253970135607,
+    0.041969810215164244, 0.040374538951535956, 0.038678945624727595,
+    0.03688236465182123, 0.034979338028060025, 0.03298144705748372,
+    0.030907257562387762, 0.02875404876504129, 0.0265099548823331,
+    0.0241911620780806, 0.021828035821609193, 0.019414141193942382,
+    0.01692088918905327, 0.014369729507045804, 0.011823015253496341,
+    0.009273279659517764, 0.0066307039159312926, 0.003890461127099884,
+    0.0013890136986770077,
 ])
-_G7_WEIGHTS = np.array([
-    0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
-    0.4179591836734694, 0.3818300505051189, 0.2797053914892767,
-    0.1294849661688697,
+_G30_W = np.array([
+    0.10285265289355884, 0.1017623897484055, 0.09959342058679527,
+    0.09636873717464425, 0.09212252223778612, 0.08689978720108298,
+    0.08075589522942021, 0.0737559747377052, 0.06597422988218049,
+    0.057493156217619065, 0.04840267283059405, 0.03879919256962705,
+    0.02878470788332337, 0.01846646831109096, 0.007968192496166605,
 ])
+
+# The full rule, with the 30-point Gauss rule at the odd indices, so one
+# function sweep serves both rules.
+_KRONROD_NODES = np.concatenate([-_K61_X[:0:-1], _K61_X])
+_KRONROD_WEIGHTS = np.concatenate([_K61_W[:0:-1], _K61_W])
+_GAUSS_WEIGHTS = np.concatenate([_G30_W[::-1], _G30_W])
 
 
 def _panel(f, a, b):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fx = np.asarray(f(mid + half * _K15_NODES), dtype=np.float64)
-    k15 = half * float(np.dot(_K15_WEIGHTS, fx))
-    g7 = half * float(np.dot(_G7_WEIGHTS, fx[1::2]))
-    return k15, abs(k15 - g7)
+    fx = np.asarray(f(mid + half * _KRONROD_NODES), dtype=np.float64)
+    kronrod = half * float(np.dot(_KRONROD_WEIGHTS, fx))
+    gauss = half * float(np.dot(_GAUSS_WEIGHTS, fx[1::2]))
+    return kronrod, abs(kronrod - gauss)
 
 
 def integrate(f, lower: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Adaptive Gauss-Kronrod integral of ``f`` over [lower, truncation].
+
+    Each panel applies the 61-point Kronrod rule and takes its distance
+    from the embedded 30-point Gauss rule as the error estimate; the
+    panel with the largest estimate is bisected until the total meets
+    the tolerance. ``f`` is called once per panel with that panel's 61
+    nodes, plus once at the truncation point.
 
     Half-line integrals are truncated at ``spec.truncation_x_max``; the
     integrand must already be negligible there (checked at call time).

@@ -257,12 +257,14 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
     """Gram matrix G[m, n] = integral of u_m u_n over (0, inf), m, n <= n_max.
 
     ``n_max`` runs from 0 to 8. Every entry runs its own adaptive
-    quadrature (no symmetry shortcut); the quadrature is the arbiter of
-    the normalization convention. The panels of all entries bisect one
-    interval, so the states are evaluated once per distinct node array,
-    all n_max + 1 of them in one ``family.eigenstate_values`` call, and
-    their values shared for the rest of the call; each entry integrates
-    the same floats as if it had evaluated its two states itself.
+    Gauss-Kronrod 30/61 quadrature (no symmetry shortcut); the
+    quadrature is the arbiter of the normalization convention. The
+    panels of all entries bisect one interval, so the states are
+    evaluated once per distinct node array, all n_max + 1 of them in one
+    ``family.eigenstate_values`` call, and their values shared for the
+    rest of the call; each entry integrates the same floats as if it had
+    evaluated its two states itself. On 61-point panels an n_max = 8
+    Gram needs only a handful of node arrays.
     """
     if not 0 <= n_max <= 8:
         raise ValueError(f"n_max must be in 0..8, got {n_max}")

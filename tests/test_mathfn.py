@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 from susycdr._kernels import laguerre_values
-from susycdr.mathfn import (QuadratureError, QuadratureSpec,
-                            gaussian_tail_cutoff, integrate, laguerre)
+from susycdr.mathfn import (_GAUSS_WEIGHTS, _KRONROD_NODES,
+                            _KRONROD_WEIGHTS, QuadratureError,
+                            QuadratureSpec, gaussian_tail_cutoff, integrate,
+                            laguerre)
 
 mpmath.mp.dps = 40
 
@@ -112,6 +114,29 @@ class TestLaguerreDeriv:
             assert abs(slope - fd) <= 1e-6
 
 
+class TestKronrodRule:
+    """The panel rule's constants, checked apart from how they were made."""
+
+    def test_embedded_gauss_rule_is_gauss_legendre_30(self):
+        nodes, weights = np.polynomial.legendre.leggauss(30)
+        assert np.max(np.abs(_KRONROD_NODES[1::2] - nodes)) <= 1e-14
+        assert np.max(np.abs(_GAUSS_WEIGHTS - weights)) <= 1e-14
+
+    def test_exact_for_monomials_up_to_degree_91(self):
+        k = np.arange(92)
+        exact = np.where(k % 2 == 1, 0.0, 2.0 / (k + 1))
+        values = (_KRONROD_NODES[None, :] ** k[:, None]) @ _KRONROD_WEIGHTS
+        assert np.max(np.abs(values - exact)) <= 1e-15
+
+    def test_symmetric_with_centre_node_zero(self):
+        assert len(_KRONROD_NODES) == len(_KRONROD_WEIGHTS) == 61
+        assert np.all(np.diff(_KRONROD_NODES) > 0)
+        assert np.array_equal(_KRONROD_NODES, -_KRONROD_NODES[::-1])
+        assert np.array_equal(_KRONROD_WEIGHTS, _KRONROD_WEIGHTS[::-1])
+        assert np.array_equal(_GAUSS_WEIGHTS, _GAUSS_WEIGHTS[::-1])
+        assert _KRONROD_NODES[30] == 0.0
+
+
 class TestIntegrate:
     def test_exponential(self):
         spec = QuadratureSpec(truncation_x_max=50.0)
@@ -148,13 +173,15 @@ class TestIntegrate:
         with pytest.raises(QuadratureError):
             integrate(wild, 0.0, spec)
 
-    def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(truncation_x_max=0.0)
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol",
+                                       "truncation_x_max"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf,
+                                       math.nan])
+    def test_invalid_spec(self, field, value):
+        # inf tolerances would accept one coarse panel, an inf truncation
+        # point would put inf among the nodes
+        with pytest.raises(ValueError, match=field):
+            QuadratureSpec(**{field: value})
 
     def test_gaussian_tail_cutoff(self):
         for omega in (0.5, 1.0, 2.0):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from susycdr._kernels import laguerre_values
-from susycdr.mathfn import _K15_NODES, QuadratureSpec, integrate
+from susycdr.mathfn import _KRONROD_NODES, QuadratureSpec, integrate
 from susycdr.quantum import (DEFAULT_X_MIN, Eigenstate, OscillatorParams,
                              RadialOscillatorFamily, base_potential,
                              darboux_partner, darboux_state)
@@ -168,9 +168,9 @@ class TestEigenfunction:
 
 
 def _panel_nodes(lo, hi):
-    """The 15 Gauss-Kronrod nodes of one quadrature panel on (lo, hi)."""
+    """The 61 Gauss-Kronrod nodes of one quadrature panel on (lo, hi)."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + half * _K15_NODES
+    return mid + half * _KRONROD_NODES
 
 
 def _similarity_block(alpha):
