@@ -107,8 +107,8 @@ class CdrSystem:
         return self.coeff_b * self.sigma_state(z)
 
     def jets(self, z):
-        """Scaled ((y, y', y''), (sigma, sigma', sigma'')) at z > 0."""
-        return tuple((c * u(z), c * u.deriv(z), c * u.deriv2(z)) for c, u in
+        """Scaled ((y, y', y''), (sigma, sigma', sigma'')) at z > 0, one jet each."""
+        return tuple(tuple(c * d for d in u.jet(z)) for c, u in
                      ((self.coeff_a, self.y_state), (self.coeff_b, self.sigma_state)))
 
     def convection(self, z, sigma_jet, order: int = 0):
@@ -214,15 +214,17 @@ def eval_fields(system: CdrSystem, x, t, fields: str = "PDCR"):
     # R reads y and sigma, except on fpe systems, whose reaction is zero
     r_profiles = "R" in fields and system.case_tag is not CaseTag.FPE
     y = system.solution(z) if "P" in fields or r_profiles else None
-    sig = (system.diffusion(z) if "D" in fields or "C" in fields or r_profiles
-           else None)
+    if "C" in fields:  # sigma and sigma' from one jet, shaped like z
+        sig, sig_d = (system.coeff_b * d.reshape(np.shape(z))
+                      for d in system.sigma_state.jet(z)[:2])
+    else:
+        sig = system.diffusion(z) if "D" in fields or r_profiles else None
     out = []
     if "P" in fields:
         out.append(t_arr ** e.mu * y)
     if "D" in fields:
         out.append(t_arr ** e.delta * sig)
     if "C" in fields:
-        sig_d = system.coeff_b * system.sigma_state.deriv(z)
         out.append(t_arr ** e.gamma * system.convection(z, (sig, sig_d)))
     if "R" in fields:
         out.append(t_arr ** e.rho_exp * system.reaction(z, y, sig))

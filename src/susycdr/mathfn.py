@@ -150,13 +150,13 @@ def integrate(f, lower: float, spec: QuadratureSpec = QuadratureSpec()) -> float
         If the subdivision budget is exhausted before the error estimate
         drops below max(abs_tol, rel_tol * |integral|).
     ValueError
-        If |f| at the truncation point is not below abs_tol, i.e. the
-        truncation would silently discard tail mass.
+        If ``lower`` is not finite and below the truncation point, or if
+        |f| there is not below abs_tol (the truncation would drop mass).
     """
     upper = spec.truncation_x_max
-    if lower >= upper:
+    if not -math.inf < lower < upper:
         raise ValueError(
-            f"lower bound {lower} must lie below the truncation point {upper}"
+            f"lower bound {lower} must be finite and below the truncation point {upper}"
         )
     tail = float(np.abs(f(np.array([upper])))[0])
     if not tail < spec.abs_tol:

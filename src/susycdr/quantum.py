@@ -26,8 +26,8 @@ Conventions worth stating once:
   it apart from the solution profile y(z) used in :mod:`susycdr.cdr`.
 
 Eigenstates carry closed-form first and second derivatives (chain rule
-plus the Laguerre derivative identity); finite differences appear only
-as an independent check in the tests.
+plus the Laguerre derivative identity), taken with the value as one jet;
+finite differences appear only as an independent check in the tests.
 """
 
 import math
@@ -59,10 +59,9 @@ class OscillatorParams:
     ell: float
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.ell <= 0:
-            raise ValueError(f"ell must be positive, got {self.ell}")
+        for name, value in (("omega", self.omega), ("ell", self.ell)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be a finite number above 0, got {value}")
 
 
 def _check_positive_x(x):
@@ -173,11 +172,12 @@ class Eigenstate:
     and N = (2 omega)^{1/4} sqrt(n! / Gamma(n + L + 3/2)).
 
     The instance is immutable after construction and safe to share.
-    Calling it evaluates u, as the one-state case of the expression that
+    Calling it evaluates u for x >= 0 (it vanishes at x = 0), as the
+    one-state case of the expression that
     :meth:`RadialOscillatorFamily.eigenstate_values` applies to a whole
-    member; ``deriv``/``deriv2`` evaluate u' and u'' (closed form, valid
-    for x > 0, each power of q taken once; the value itself extends to
-    x = 0 where it vanishes).
+    member. :meth:`jet` gives (u, u', u'') in closed form for x > 0 from
+    one evaluation, with u equal to the call's value bit for bit;
+    ``deriv``/``deriv2`` are its u' and u'' (a float for a scalar x).
     """
 
     def __init__(self, family: RadialOscillatorFamily, s: int, n: int):
@@ -195,35 +195,21 @@ class Eigenstate:
     def norm_constant(self) -> float:
         return self._norm
 
-    def _lag(self, q, shift: int):
-        """L_{n-shift}^{a+shift}(q); zero when the degree goes negative."""
-        deg = self.n - shift
-        if deg < 0:
-            return np.zeros_like(q)
-        return laguerre_values(deg, self._lag_a + shift, q)
-
     def __call__(self, x):
         arr, _, q = _half_line_q(self._omega, x)
-        val = _values(q, self._power, [self._norm], [self._lag(q, 0)])[0]
-        val = val.reshape(arr.shape)
+        lag = laguerre_values(self.n, self._lag_a, q)
+        val = _values(q, self._power, [self._norm], [lag])[0].reshape(arr.shape)
         return float(val[0]) if np.ndim(x) == 0 else val
 
-    def deriv(self, x):
+    def jet(self, x):
+        """(u, u', u'') at x > 0, each shaped like ``np.atleast_1d(x)``:
+        q, exp(-q/2) and each power of q once, and L_n^a, L_{n-1}^{a+1},
+        L_{n-2}^{a+2} (zero past degree n) from one recurrence each."""
         arr, flat, q = _half_line_q(self._omega, x, derivative=True)
         p = self._power
-        ln = self._lag(q, 0)
-        lp = -self._lag(q, 1)
-        q_p, q_p1 = q ** p, q ** (p - 1.0)
-        wp = np.exp(-0.5 * q) * (p * q_p1 * ln - 0.5 * q_p * ln + q_p * lp)
-        out = (self._norm * wp * self._omega * flat).reshape(arr.shape)
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    def deriv2(self, x):
-        arr, flat, q = _half_line_q(self._omega, x, derivative=True)
-        p = self._power
-        ln = self._lag(q, 0)
-        lp = -self._lag(q, 1)
-        lpp = self._lag(q, 2)
+        ln, lag1, lpp = [laguerre_table(self.n - k, self._lag_a + k, q)[self.n - k]
+                         if k <= self.n else np.zeros_like(q) for k in range(3)]
+        lp = -lag1
         expq = np.exp(-0.5 * q)
         q_p, q_p1, q_p2 = q ** p, q ** (p - 1.0), q ** (p - 2.0)
         wp = expq * (p * q_p1 * ln - 0.5 * q_p * ln + q_p * lp)
@@ -233,7 +219,16 @@ class Eigenstate:
             + q_p * lpp
         )
         wx = self._omega * flat
-        out = (self._norm * (wpp * wx * wx + wp * self._omega)).reshape(arr.shape)
+        jet = (self._norm * q_p * expq * ln, self._norm * wp * self._omega * flat,
+               self._norm * (wpp * wx * wx + wp * self._omega))
+        return tuple(d.reshape(arr.shape) for d in jet)
+
+    def deriv(self, x):
+        out = self.jet(x)[1]
+        return float(out[0]) if np.ndim(x) == 0 else out
+
+    def deriv2(self, x):
+        out = self.jet(x)[2]
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def __repr__(self):

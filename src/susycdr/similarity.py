@@ -45,7 +45,9 @@ class ScalingExponents:
 
 
 def exponents_for_class(alpha: float) -> ScalingExponents:
-    """Exponent set of the solvable class, where mu = -alpha."""
+    """Exponent set of the solvable class, where mu = -alpha (finite)."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be a finite number, got {alpha}")
     return ScalingExponents(alpha=float(alpha), mu=-float(alpha))
 
 

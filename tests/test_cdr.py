@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from susycdr import quantum
 from susycdr.cdr import (CaseTag, build_case_a, build_case_b, build_fpe,
                          eval_fields, swap)
 from susycdr.quantum import (Eigenstate, OscillatorParams,
@@ -215,10 +216,39 @@ class TestFieldSelection:
         assert sum(points) == 0
         assert np.array_equal(reaction, full)
 
+    @pytest.mark.parametrize("case", ["fpe", "case_a", "case_b"])
+    def test_convection_takes_sigma_from_one_jet(self, family, case, monkeypatch):
+        system = _selection_systems(family)[case]
+        states = []
+        state_call = Eigenstate.__call__
+
+        def counted(state, x):
+            states.append(state)
+            return state_call(state, x)
+
+        monkeypatch.setattr(Eigenstate, "__call__", counted)
+        eval_fields(system, self.X[None, :], self.LEVELS[:16, None], "DC")
+        assert not any(state is system.sigma_state for state in states)
+
     @pytest.mark.parametrize("fields", ["", "X", "RP", "PP", "pd"])
     def test_bad_selection_rejected(self, fig1, fields):
         with pytest.raises(ValueError, match="fields"):
             eval_fields(fig1, XS, 1.0, fields)
+
+
+class TestJets:
+    def test_one_recurrence_per_laguerre_shift(self, fig1, monkeypatch):
+        # L_3^a, L_2^{a+1} and L_1^{a+2} for the solution state (n = 3);
+        # L_1^a and L_0^{a+1} for the diffusion state (n' = 1)
+        calls = {"laguerre_table": 0, "laguerre_values": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(quantum, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(quantum, name, counted)
+        fig1.jets(np.linspace(0.2, 8.0, 400))
+        assert calls == {"laguerre_table": 5, "laguerre_values": 0}
 
 
 class TestSwap:

@@ -156,6 +156,14 @@ class TestIntegrate:
         ref = math.exp(math.lgamma((k + 1) / 2.0)) / 2.0
         assert abs(val - ref) <= spec.abs_tol * 100 + 1e-12 * abs(ref)
 
+    @pytest.mark.parametrize("lower", [math.nan, -math.inf])
+    def test_rejects_non_finite_lower(self, lower):
+        # both compare False against the truncation point and used to
+        # return nan
+        spec = QuadratureSpec(truncation_x_max=50.0)
+        with pytest.raises(ValueError, match="lower"):
+            integrate(lambda x: np.exp(-x), lower, spec)
+
     def test_tail_check_rejects_fat_truncation(self):
         spec = QuadratureSpec(truncation_x_max=3.0)
         with pytest.raises(ValueError, match="truncation"):

@@ -33,6 +33,15 @@ class TestOscillatorParams:
         with pytest.raises(ValueError):
             OscillatorParams(1.0, -0.5)
 
+    @pytest.mark.parametrize("field", ["omega", "ell"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, bad):
+        # nan <= 0 is False: a NaN or infinite parameter would make every
+        # state NaN without an error
+        kwargs = {"omega": 1.0, "ell": 1.0, field: bad}
+        with pytest.raises(ValueError, match=field):
+            OscillatorParams(**kwargs)
+
 
 class TestBasePotential:
     def test_value_at_one(self):
@@ -241,10 +250,16 @@ class TestDerivativeBits:
         d1, d2 = _reference_derivatives(u, x)
         assert np.array_equal(u.deriv(x), d1)
         assert np.array_equal(u.deriv2(x), d2)
+        val, jet_d1, jet_d2 = u.jet(x)
+        assert np.array_equal(val, u(x))
+        assert np.array_equal(jet_d1, d1) and np.array_equal(jet_d2, d2)
         # a scalar is evaluated as a one-point array (numpy's array power
         # and Python's float power may differ in the last bit)
         d1, d2 = _reference_derivatives(u, np.array([1.7]))
         assert u.deriv(1.7) == d1[0] and u.deriv2(1.7) == d2[0]
+        val, jet_d1, jet_d2 = u.jet(1.7)
+        assert np.array_equal(val, u(np.array([1.7])))
+        assert np.array_equal(jet_d1, d1) and np.array_equal(jet_d2, d2)
 
 
 class TestDarbouxPartner:

@@ -20,6 +20,11 @@ class TestExponents:
         e = exponents_for_class(0.5)
         assert (e.gamma, e.delta, e.mu, e.rho_exp) == (-0.5, 0.0, -0.5, -1.5)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            exponents_for_class(alpha)
+
     def test_linkage_holds_for_any_mu(self):
         e = ScalingExponents(alpha=0.7, mu=0.3)
         assert e.gamma == pytest.approx(-0.3)
