@@ -107,9 +107,12 @@ class CdrSystem:
         return self.coeff_b * self.sigma_state(z)
 
     def jets(self, z):
-        """Scaled ((y, y', y''), (sigma, sigma', sigma'')) at z > 0, one jet each."""
-        return tuple(tuple(c * d for d in u.jet(z)) for c, u in
-                     ((self.coeff_a, self.y_state), (self.coeff_b, self.sigma_state)))
+        """Scaled ((y, y', y''), (sigma, sigma', sigma'')) at z > 0, one jet
+        per distinct state (fpe systems share theirs)."""
+        y_jet = self.y_state.jet(z)
+        sig_jet = y_jet if self.sigma_state is self.y_state else self.sigma_state.jet(z)
+        return (tuple(self.coeff_a * d for d in y_jet),
+                tuple(self.coeff_b * d for d in sig_jet))
 
     def convection(self, z, sigma_jet, order: int = 0):
         """Convection profile tau = 2 sigma' + alpha z (``order=0``) or its
@@ -214,9 +217,9 @@ def eval_fields(system: CdrSystem, x, t, fields: str = "PDCR"):
     # R reads y and sigma, except on fpe systems, whose reaction is zero
     r_profiles = "R" in fields and system.case_tag is not CaseTag.FPE
     y = system.solution(z) if "P" in fields or r_profiles else None
-    if "C" in fields:  # sigma and sigma' from one jet, shaped like z
+    if "C" in fields:  # sigma and sigma' from one first-order jet, shaped like z
         sig, sig_d = (system.coeff_b * d.reshape(np.shape(z))
-                      for d in system.sigma_state.jet(z)[:2])
+                      for d in system.sigma_state.jet(z, 1))
     else:
         sig = system.diffusion(z) if "D" in fields or r_profiles else None
     out = []

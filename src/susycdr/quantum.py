@@ -26,8 +26,12 @@ Conventions worth stating once:
   it apart from the solution profile y(z) used in :mod:`susycdr.cdr`.
 
 Eigenstates carry closed-form first and second derivatives (chain rule
-plus the Laguerre derivative identity), taken with the value as one jet;
-finite differences appear only as an independent check in the tests.
+plus the Laguerre derivative identity), taken with the value as one jet
+of a chosen order; finite differences appear only as an independent
+check in the tests. Values and jets share one log-space prefactor,
+exp(ln N + (p ln q - q/2)): the Gaussian decay and the power of q are
+combined before exponentiating, so neither overflows nor underflows on
+its own at large ell + s.
 """
 
 import math
@@ -72,14 +76,14 @@ def _check_positive_x(x):
 
 
 def _laguerre_form(member: OscillatorParams, n: int):
-    """(a, p, N) of u_n = N q^p exp(-q/2) L_n^a(q) for member parameters
+    """(a, p, ln N) of u_n = N q^p exp(-q/2) L_n^a(q) for member parameters
     (omega, L): a = L + 1/2, p = (L + 1)/2 and
-    N = (2 omega)^{1/4} sqrt(n! / Gamma(n + L + 3/2))."""
+    N = (2 omega)^{1/4} sqrt(n! / Gamma(n + L + 3/2)), whose logarithm is
+    taken from lgamma (N itself underflows at large L)."""
     big_l = member.ell
-    norm = (2.0 * member.omega) ** 0.25 * math.exp(
-        0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + big_l + 1.5))
-    )
-    return big_l + 0.5, 0.5 * (big_l + 1.0), norm
+    log_norm = 0.25 * math.log(2.0 * member.omega) + 0.5 * (
+        math.lgamma(n + 1.0) - math.lgamma(n + big_l + 1.5))
+    return big_l + 0.5, 0.5 * (big_l + 1.0), log_norm
 
 
 def _half_line_q(omega, x, derivative=False):
@@ -95,12 +99,18 @@ def _half_line_q(omega, x, derivative=False):
     return arr, flat, 0.5 * omega * flat * flat
 
 
-def _values(q, power, norms, lags):
-    """u_n = N_n q^p exp(-q/2) L_n^a(q) for each pair of ``norms`` and
-    ``lags`` (the L_n^a(q)), from one q^p and one exp(-q/2)."""
-    q_pow = q ** power
-    expq = np.exp(-0.5 * q)
-    return [norm * q_pow * expq * lag for norm, lag in zip(norms, lags)]
+def _log_envelope(q, power):
+    """p ln q - q/2, the logarithm of q^p exp(-q/2) (-inf at q = 0)."""
+    with np.errstate(divide="ignore"):
+        return power * np.log(q) - 0.5 * q
+
+
+def _values(q, power, log_norms, lags):
+    """u_n = exp(ln N_n + (p ln q - q/2)) L_n^a(q) for each pair of
+    ``log_norms`` and ``lags`` (the L_n^a(q)), from one logarithm of q."""
+    envelope = _log_envelope(q, power)
+    return [np.exp(log_norm + envelope) * lag
+            for log_norm, lag in zip(log_norms, lags)]
 
 
 class RadialOscillatorFamily:
@@ -139,7 +149,7 @@ class RadialOscillatorFamily:
         ``np.atleast_1d(x)``; requires x >= 0.
 
         Equal, bit for bit, to ``[self.eigenstate(s, n)(x) for n in
-        range(n_max + 1)]`` for array ``x``, but takes q, q^p and exp(-q/2)
+        range(n_max + 1)]`` for array ``x``, but takes q and p ln q - q/2
         once and every Laguerre degree from one recurrence.
         """
         if n_max < 0:
@@ -148,7 +158,7 @@ class RadialOscillatorFamily:
         forms = [_laguerre_form(member, n) for n in range(n_max + 1)]
         lag_a, power, _ = forms[0]
         arr, _, q = _half_line_q(member.omega, x)
-        values = _values(q, power, [norm for _, _, norm in forms],
+        values = _values(q, power, [log_norm for _, _, log_norm in forms],
                          laguerre_table(n_max, lag_a, q))
         return [val.reshape(arr.shape) for val in values]
 
@@ -169,15 +179,18 @@ class Eigenstate:
 
     u(x) = N * q^p * exp(-q/2) * L_n^a(q) with q = omega x^2/2, where the
     effective angular parameter is L = ell + s, p = (L+1)/2, a = L + 1/2,
-    and N = (2 omega)^{1/4} sqrt(n! / Gamma(n + L + 3/2)).
+    and N = (2 omega)^{1/4} sqrt(n! / Gamma(n + L + 3/2)). The prefactor
+    is formed in log space, exp(ln N + (p ln q - q/2)), so it stays
+    finite wherever u does, at large L included; u overflows only where
+    the Laguerre factor does.
 
     The instance is immutable after construction and safe to share.
     Calling it evaluates u for x >= 0 (it vanishes at x = 0), as the
     one-state case of the expression that
     :meth:`RadialOscillatorFamily.eigenstate_values` applies to a whole
-    member. :meth:`jet` gives (u, u', u'') in closed form for x > 0 from
-    one evaluation, with u equal to the call's value bit for bit;
-    ``deriv``/``deriv2`` are its u' and u'' (a float for a scalar x).
+    member. :meth:`jet` gives (u, u') or (u, u', u'') in closed form for
+    x > 0 from one evaluation, with u equal to the call's value bit for
+    bit; ``deriv``/``deriv2`` are its u' and u'' (a float for a scalar x).
     """
 
     def __init__(self, family: RadialOscillatorFamily, s: int, n: int):
@@ -188,43 +201,50 @@ class Eigenstate:
         self.n = n
         member = family.shifted_params(s)
         self._omega = member.omega
-        self._lag_a, self._power, self._norm = _laguerre_form(member, n)
+        self._lag_a, self._power, self._log_norm = _laguerre_form(member, n)
         self.energy = family.energy(s, n)
 
     @property
     def norm_constant(self) -> float:
-        return self._norm
+        return math.exp(self._log_norm)
 
     def __call__(self, x):
         arr, _, q = _half_line_q(self._omega, x)
         lag = laguerre_values(self.n, self._lag_a, q)
-        val = _values(q, self._power, [self._norm], [lag])[0].reshape(arr.shape)
+        val = _values(q, self._power, [self._log_norm], [lag])[0].reshape(arr.shape)
         return float(val[0]) if np.ndim(x) == 0 else val
 
-    def jet(self, x):
-        """(u, u', u'') at x > 0, each shaped like ``np.atleast_1d(x)``:
-        q, exp(-q/2) and each power of q once, and L_n^a, L_{n-1}^{a+1},
-        L_{n-2}^{a+2} (zero past degree n) from one recurrence each."""
+    def jet(self, x, order: int = 2):
+        """(u, u') for ``order=1`` or (u, u', u'') for ``order=2`` at x > 0,
+        each shaped like ``np.atleast_1d(x)``.
+
+        One prefactor base = exp(ln N + (p ln q - q/2)) serves every
+        entry, and the q-derivatives need only 1/q:
+        du/dq = base ((p/q - 1/2) L + L') and
+        d2u/dq2 = base (((p(p-1)/q - p)/q + 1/4) L + (2p/q - 1) L' + L'').
+        L = L_n^a, L' = -L_{n-1}^{a+1} and L'' = L_{n-2}^{a+2} (zero past
+        degree n) come from one recurrence each; ``order=1`` skips L''.
+        """
+        if order not in (1, 2):
+            raise ValueError(f"jet order must be 1 or 2, got {order}")
         arr, flat, q = _half_line_q(self._omega, x, derivative=True)
         p = self._power
-        ln, lag1, lpp = [laguerre_table(self.n - k, self._lag_a + k, q)[self.n - k]
-                         if k <= self.n else np.zeros_like(q) for k in range(3)]
-        lp = -lag1
-        expq = np.exp(-0.5 * q)
-        q_p, q_p1, q_p2 = q ** p, q ** (p - 1.0), q ** (p - 2.0)
-        wp = expq * (p * q_p1 * ln - 0.5 * q_p * ln + q_p * lp)
-        wpp = expq * (
-            (p * (p - 1.0) * q_p2 - p * q_p1 + 0.25 * q_p) * ln
-            + (2.0 * p * q_p1 - q_p) * lp
-            + q_p * lpp
-        )
-        wx = self._omega * flat
-        jet = (self._norm * q_p * expq * ln, self._norm * wp * self._omega * flat,
-               self._norm * (wpp * wx * wx + wp * self._omega))
+        lags = [laguerre_table(self.n - k, self._lag_a + k, q)[-1]
+                if k <= self.n else 0.0 for k in range(order + 1)]
+        lag, lag_d = lags[0], -lags[1]
+        base = np.exp(self._log_norm + _log_envelope(q, p))
+        inv_q = 1.0 / q
+        du_dq = base * ((p * inv_q - 0.5) * lag + lag_d)
+        dq_dx = self._omega * flat
+        jet = [base * lag, du_dq * dq_dx]
+        if order == 2:
+            d2u_dq2 = base * ((((p * (p - 1.0)) * inv_q - p) * inv_q + 0.25) * lag
+                              + (2.0 * p * inv_q - 1.0) * lag_d + lags[2])
+            jet.append(d2u_dq2 * dq_dx * dq_dx + du_dq * self._omega)
         return tuple(d.reshape(arr.shape) for d in jet)
 
     def deriv(self, x):
-        out = self.jet(x)[1]
+        out = self.jet(x, 1)[1]
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def deriv2(self, x):

@@ -128,9 +128,9 @@ def schrodinger_residual(state: Eigenstate, grid: GridSpec) -> ResidualReport:
     unit max_rel means the residual is as large as the state itself.
     """
     x = grid.x_points()
-    u = state(x)
+    u, _, u_dd = state.jet(x)
     v = state.family.potential(state.s, x)
-    r = -state.deriv2(x) + (v - state.energy) * u
+    r = -u_dd + (v - state.energy) * u
     scale = np.full_like(r, max(float(np.max(np.abs(u))), _SCALE_FLOOR))
     return _report(r, scale, x, "analytic")
 
@@ -264,17 +264,11 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
     ``family.eigenstate_values`` call, and their values shared for the
     rest of the call; each entry integrates the same floats as if it had
     evaluated its two states itself. On 61-point panels an n_max = 8
-    Gram needs only a handful of node arrays.
+    Gram needs only a handful of node arrays. The half line is cut where
+    every state is below 1e-8, past their peak at any ell + s.
     """
     if not 0 <= n_max <= 8:
         raise ValueError(f"n_max must be in 0..8, got {n_max}")
-    # Widened cut: the polynomial factor in front of the Gaussian
-    # pushes the negligible-tail point outward for higher levels.
-    spec = QuadratureSpec(
-        abs_tol=1e-10,
-        rel_tol=1e-10,
-        truncation_x_max=gaussian_tail_cutoff(family.omega, safety=1.35),
-    )
     memo = {}
 
     def values(xx):
@@ -282,6 +276,18 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
         if key not in memo:
             memo[key] = family.eigenstate_values(s, n_max, xx)
         return memo[key]
+
+    # Widened cut: the polynomial factor in front of the Gaussian
+    # pushes the negligible-tail point outward for higher levels. At large
+    # ell + s the states sit beyond that cut, so it starts no lower than
+    # their peak, q = omega x^2 / 2 = ell + s + 1 + 2 n_max, and steps out
+    # until every state is below 1e-8 there (every product below 1e-16).
+    # The integrand's own tail check reads these same values.
+    cut = max(gaussian_tail_cutoff(family.omega, safety=1.35),
+              math.sqrt(2.0 * (family.ell + s + 1.0 + 2.0 * n_max) / family.omega))
+    while max(abs(float(v[0])) for v in values(np.array([cut]))) >= 1e-8:
+        cut *= 1.05
+    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, truncation_x_max=cut)
 
     gram = np.empty((n_max + 1, n_max + 1))
     for m in range(n_max + 1):
@@ -418,7 +424,9 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec,
     ends. Runs ``refinements`` resolutions from ``grid.nx`` by ``grid.nt``,
     doubling both each time, and reports the discrete L2 errors and their
     ratios. A grid with t_min == t_max has nothing to integrate, and
-    ``refinements`` below 1 runs nothing; both raise ValueError.
+    ``refinements`` below 1 runs nothing; both raise ValueError, as does
+    an error of exactly 0 (P vanishes on the window, or is so small that
+    the squared errors underflow).
     """
     if grid.t_min == grid.t_max:
         raise ValueError(f"need t_min < t_max, got both {grid.t_min}")
@@ -430,6 +438,12 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec,
         nt = grid.nt * 2 ** level
         x = np.linspace(grid.x_min, grid.x_max, nx)
         p_num, err = _evolve_single(system, x, grid.t_min, grid.t_max, nt)
+        if err == 0.0:
+            raise ValueError(
+                f"the time-stepper error is 0 at nx={nx}, nt={nt}: field P is "
+                f"zero or tiny on the whole window x in [{grid.x_min:g}, "
+                f"{grid.x_max:g}] (the squared errors underflow), so the "
+                "errors have no ratio")
         fields.append(p_num)
         entries.append((nx, nt, err))
     ratios = tuple(entries[k][2] / entries[k + 1][2]

@@ -4,12 +4,15 @@ The two deliberately inconsistent field assemblies below let the residual
 oracles show that they catch a wrong system: one carries the reaction
 with t^(1 - alpha) instead of t^(mu - 1) (agreeing only at t = 1), the
 other builds the convection on sigma where the exact profile uses sigma'.
+A counting fixture records how often the eigenstates run the Laguerre
+recurrence.
 """
 
 import dataclasses
 
 import pytest
 
+from susycdr import quantum
 from susycdr.cdr import CdrSystem
 from susycdr.similarity import ScalingExponents
 
@@ -43,3 +46,17 @@ def alt_convection_profile():
         return _AltConvectionSystem(**{
             f.name: getattr(system, f.name) for f in dataclasses.fields(CdrSystem)})
     return make
+
+
+@pytest.fixture
+def laguerre_calls(monkeypatch):
+    """Calls of ``laguerre_table`` and ``laguerre_values`` made through
+    :mod:`susycdr.quantum` from here on, by name."""
+    calls = {"laguerre_table": 0, "laguerre_values": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(quantum, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(quantum, name, counted)
+    return calls

@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from susycdr import quantum
 from susycdr.cdr import (CaseTag, build_case_a, build_case_b, build_fpe,
                          eval_fields, swap)
 from susycdr.quantum import (Eigenstate, OscillatorParams,
@@ -230,6 +229,12 @@ class TestFieldSelection:
         eval_fields(system, self.X[None, :], self.LEVELS[:16, None], "DC")
         assert not any(state is system.sigma_state for state in states)
 
+    def test_convection_jet_skips_second_derivative(self, family, laguerre_calls):
+        # sigma = u_2 of the fpe system: L_2^a and L_1^{a+1}, no L_0^{a+2}
+        system = _selection_systems(family)["fpe"]
+        eval_fields(system, self.X[None, :], self.LEVELS[:16, None], "DC")
+        assert laguerre_calls == {"laguerre_table": 2, "laguerre_values": 0}
+
     @pytest.mark.parametrize("fields", ["", "X", "RP", "PP", "pd"])
     def test_bad_selection_rejected(self, fig1, fields):
         with pytest.raises(ValueError, match="fields"):
@@ -237,18 +242,19 @@ class TestFieldSelection:
 
 
 class TestJets:
-    def test_one_recurrence_per_laguerre_shift(self, fig1, monkeypatch):
+    def test_one_recurrence_per_laguerre_shift(self, fig1, laguerre_calls):
         # L_3^a, L_2^{a+1} and L_1^{a+2} for the solution state (n = 3);
         # L_1^a and L_0^{a+1} for the diffusion state (n' = 1)
-        calls = {"laguerre_table": 0, "laguerre_values": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(quantum, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-
-            monkeypatch.setattr(quantum, name, counted)
         fig1.jets(np.linspace(0.2, 8.0, 400))
-        assert calls == {"laguerre_table": 5, "laguerre_values": 0}
+        assert laguerre_calls == {"laguerre_table": 5, "laguerre_values": 0}
+
+    def test_fpe_evaluates_its_one_state_once(self, family, laguerre_calls):
+        # y_state is sigma_state: L_2^a, L_1^{a+1} and L_0^{a+2} once
+        system = _selection_systems(family)["fpe"]
+        y_jet, sig_jet = system.jets(np.linspace(0.2, 8.0, 400))
+        assert laguerre_calls == {"laguerre_table": 3, "laguerre_values": 0}
+        for y_d, sig_d in zip(y_jet, sig_jet):
+            assert np.array_equal(y_d, sig_d)
 
 
 class TestSwap:

@@ -175,13 +175,14 @@ class TestEvalCommand:
             f"wrote {path} ({grid.nx * grid.nt} rows)\n")
 
     @pytest.mark.parametrize("command,omega,ell,bad", [
-        pytest.param("eval", 4.0, 285.0, 193, id="4.0-285.0-193"),
-        pytest.param("eval", 1.0, 300.0, 27, id="1.0-300.0-27"),
-        pytest.param("verify", 4.0, 285.0, 193, id="verify-4.0-285.0-193"),
-        pytest.param("verify", 1.0, 300.0, 27, id="verify-1.0-300.0-27"),
+        pytest.param("eval", 4.0, 1e200, 1600, id="4.0-1e+200-1600"),
+        pytest.param("eval", 1.0, 1e200, 1600, id="1.0-1e+200-1600"),
+        pytest.param("verify", 4.0, 1e200, 1600, id="verify-4.0-1e+200-1600"),
+        pytest.param("verify", 1.0, 1e200, 1600, id="verify-1.0-1e+200-1600"),
     ])
     def test_non_finite_field_exits_2_before_writing(self, tmp_path, capsys,
                                                      command, omega, ell, bad):
+        # L_2^a(q) is about a^2 / 2, which overflows for a = ell + 1/2 = 1e200
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"omega": omega, "ell": ell, "alpha": 1.0,
                                       "case": "fpe", "n": 2, "s": 0}))
@@ -193,6 +194,21 @@ class TestEvalCommand:
         assert f"field P is not finite at {bad} of 1600 grid points" in err
         assert f"omega={omega:g}, ell={ell:g}" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("omega,ell", [(4.0, 285.0), (1.0, 300.0)],
+                             ids=["4.0-285.0", "1.0-300.0"])
+    def test_large_ell_fields_are_finite(self, tmp_path, capsys, omega, ell):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"omega": omega, "ell": ell, "alpha": 1.0,
+                                      "case": "fpe", "n": 2, "s": 0}))
+        out_dir = tmp_path / "out"
+        with np.errstate(over="raise", invalid="raise"):
+            assert run(["--config", str(config), "--out", str(out_dir),
+                        "eval"]) == 0
+        rows = np.loadtxt(out_dir / "fields.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (1600, 6)
+        assert np.all(np.isfinite(rows))
+        assert np.any(rows[:, 2] != 0.0)
 
 
 class TestVerifyCommand:
@@ -250,6 +266,29 @@ class TestVerifyCommand:
     def test_absurd_tolerance_fails_with_exit_1(self, capsys):
         assert run(["--tol", "1e-20", "verify"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("omega,ell,code", [(4.0, 285.0, 0),
+                                                (1.0, 300.0, 1)],
+                             ids=["4.0-285.0", "1.0-300.0"])
+    def test_large_ell_outcome(self, tmp_path, omega, ell, code):
+        # The states peak near x = 12 at (4, 285) and x = 24.5 at (1, 300),
+        # beyond the grid's x_max = 8. The residual rows and the Gram pass on
+        # both. The CN errors converge at a ratio of 3.50 at (4, 285) (errors
+        # about 1e-16) and 3.00 at (1, 300), where the grid holds only the
+        # state's far tail (errors about 1e-88), so that stepper row fails.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"omega": omega, "ell": ell, "alpha": 1.0,
+                                      "case": "fpe", "n": 2, "s": 0}))
+        out = tmp_path / "report"
+        with np.errstate(over="raise", invalid="raise"):
+            assert run(["--config", str(config), "--out", str(out),
+                        "verify"]) == code
+        data = json.loads((out / "verify_report.json").read_text())
+        assert data["passed"] is (code == 0)
+        assert all(rep["max_rel"] <= 1e-12
+                   for rep in data["residuals"].values())
+        assert data["orthonormality_deviation"] <= 1e-12
+        assert (3.5 <= data["evolve"]["error_ratio"] <= 4.5) is (code == 0)
 
     def test_json_report_written_when_out_given(self, tmp_path):
         out = tmp_path / "report"

@@ -8,10 +8,10 @@ identities.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from susycdr._kernels import laguerre_values
 from susycdr.mathfn import _KRONROD_NODES, QuadratureSpec, integrate
 from susycdr.quantum import (DEFAULT_X_MIN, Eigenstate, OscillatorParams,
                              RadialOscillatorFamily, base_potential,
@@ -214,52 +214,72 @@ class TestEigenstateValues:
             family.eigenstate_values(-1, 2, np.ones(3))
 
 
-def _reference_derivatives(u, x):
-    """u' and u'' by the expressions that evaluate every power of q at each
-    use, as the derivatives were written before they shared the powers."""
-    omega = u.family.omega
-    big_l = u.family.ell + u.s
-    p = 0.5 * (big_l + 1.0)
-    a = big_l + 0.5
-    q = 0.5 * omega * x * x
+_ARBITER_CASES = ([(omega, ell, s, n) for omega, ell, s in _MEMBER_CASES
+                   for n in (0, 1, 2, 5, 12)]
+                  + [(1.0, 1.0, 1, 20), (4.0, 285.0, 0, 2), (1.0, 300.0, 0, 2)])
 
-    def lag(shift):
-        if u.n < shift:
-            return np.zeros_like(q)
-        return laguerre_values(u.n - shift, a + shift, q)
 
-    ln, lp, lpp = lag(0), -lag(1), lag(2)
-    expq = np.exp(-0.5 * q)
-    wp = expq * (p * q ** (p - 1.0) * ln - 0.5 * q ** p * ln + q ** p * lp)
-    wpp = expq * (
-        (p * (p - 1.0) * q ** (p - 2.0) - p * q ** (p - 1.0) + 0.25 * q ** p) * ln
-        + (2.0 * p * q ** (p - 1.0) - q ** p) * lp
-        + q ** p * lpp
-    )
-    wx = omega * x
-    return (u.norm_constant * wp * omega * x,
-            u.norm_constant * (wpp * wx * wx + wp * omega))
+def _mp_jet(u, x):
+    """(u, u', u'') at the points ``x`` in 40-digit arithmetic: mpmath's
+    Laguerre function and Gamma for the closed form, its numerical
+    differentiation for the derivatives."""
+    with mpmath.workdps(40):
+        big_l = mpmath.mpf(u.family.ell) + u.s
+        omega = mpmath.mpf(u.family.omega)
+        norm = mpmath.root(2 * omega, 4) * mpmath.sqrt(
+            mpmath.factorial(u.n) / mpmath.gamma(u.n + big_l + mpmath.mpf(1.5)))
+
+        def value(xx):
+            q = omega * xx * xx / 2
+            return (norm * q ** ((big_l + 1) / 2) * mpmath.exp(-q / 2)
+                    * mpmath.laguerre(u.n, big_l + mpmath.mpf(0.5), q))
+
+        rows = [[float(d) for d in mpmath.diffs(value, mpmath.mpf(xx), 2)]
+                for xx in x.tolist()]
+    return np.array(rows).T
+
+
+class TestJetArbiter:
+    @pytest.mark.parametrize("omega, ell, s, n", _ARBITER_CASES)
+    def test_matches_mpmath(self, omega, ell, s, n):
+        # 32 points over the state's support, up to q = 2 L + 4 n + 80; the
+        # log-space prefactor loses about eps * p ln q, so large ell + s
+        # gets the looser bound
+        u = RadialOscillatorFamily(OscillatorParams(omega, ell)).eigenstate(s, n)
+        q_hi = 2.0 * (ell + s) + 4.0 * n + 80.0
+        x = np.sqrt(2.0 * np.linspace(q_hi / 32, q_hi, 32) / omega)
+        bound = 1e-14 if ell + s <= 10 else 1e-12
+        for k, (got, ref) in enumerate(zip(u.jet(x), _mp_jet(u, x))):
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= bound * scale, k
 
 
 class TestDerivativeBits:
     @pytest.mark.parametrize("omega, ell, s", _MEMBER_CASES)
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
     def test_bitwise_equal_to_reference_expressions(self, omega, ell, s, n):
+        # The references are the value call and the second-order jet: u of
+        # the jet is the call's value, the first-order jet and deriv/deriv2
+        # are projections of it, and a scalar is a one-point array.
         u = RadialOscillatorFamily(OscillatorParams(omega, ell)).eigenstate(s, n)
         x = _similarity_block(1.2)
-        d1, d2 = _reference_derivatives(u, x)
+        val, d1, d2 = u.jet(x)
+        assert np.array_equal(val, u(x))
+        first = u.jet(x, 1)
+        assert len(first) == 2
+        assert np.array_equal(first[0], val) and np.array_equal(first[1], d1)
         assert np.array_equal(u.deriv(x), d1)
         assert np.array_equal(u.deriv2(x), d2)
-        val, jet_d1, jet_d2 = u.jet(x)
-        assert np.array_equal(val, u(x))
-        assert np.array_equal(jet_d1, d1) and np.array_equal(jet_d2, d2)
-        # a scalar is evaluated as a one-point array (numpy's array power
-        # and Python's float power may differ in the last bit)
-        d1, d2 = _reference_derivatives(u, np.array([1.7]))
-        assert u.deriv(1.7) == d1[0] and u.deriv2(1.7) == d2[0]
-        val, jet_d1, jet_d2 = u.jet(1.7)
-        assert np.array_equal(val, u(np.array([1.7])))
-        assert np.array_equal(jet_d1, d1) and np.array_equal(jet_d2, d2)
+        point = u.jet(np.array([1.7]))
+        for got, ref in zip(u.jet(1.7), point):
+            assert got.shape == (1,) and np.array_equal(got, ref)
+        assert u(1.7) == u(np.array([1.7]))[0]
+        assert u.deriv(1.7) == point[1][0] and u.deriv2(1.7) == point[2][0]
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_rejects_other_orders(self, family, order):
+        with pytest.raises(ValueError, match="order"):
+            family.eigenstate(0, 2).jet(1.0, order)
 
 
 class TestDarbouxPartner:

@@ -49,11 +49,8 @@ class _EnergyShifted:
     def __call__(self, x):
         return self._state(x)
 
-    def deriv(self, x):
-        return self._state.deriv(x)
-
-    def deriv2(self, x):
-        return self._state.deriv2(x)
+    def jet(self, x, order=2):
+        return self._state.jet(x, order)
 
 
 class _Scaled(_EnergyShifted):
@@ -65,11 +62,8 @@ class _Scaled(_EnergyShifted):
     def __call__(self, x):
         return self._factor * self._state(x)
 
-    def deriv(self, x):
-        return self._factor * self._state.deriv(x)
-
-    def deriv2(self, x):
-        return self._factor * self._state.deriv2(x)
+    def jet(self, x, order=2):
+        return tuple(self._factor * d for d in self._state.jet(x, order))
 
 
 class TestSchrodingerResidual:
@@ -101,6 +95,11 @@ class TestSchrodingerResidual:
         grid = GridSpec()
         rep = schrodinger_residual(family.eigenstate(1, 3), grid)
         assert grid.x_min <= rep.worst_point <= grid.x_max
+
+    def test_reads_u_and_u2_from_one_jet(self, family, laguerre_calls):
+        # L_3^a, L_2^{a+1} and L_1^{a+2} once each, and no separate value call
+        schrodinger_residual(family.eigenstate(1, 3), GridSpec())
+        assert laguerre_calls == {"laguerre_table": 3, "laguerre_values": 0}
 
 
 class TestOdeResidual:
@@ -387,6 +386,17 @@ class TestOrthonormality:
         gram = orthonormality_matrix(family, s, n_max)
         assert np.max(np.abs(gram - exact)) <= 1e-13
 
+    @pytest.mark.parametrize("omega, ell, n_max", [(4.0, 285.0, 4),
+                                                   (1.0, 300.0, 4),
+                                                   (4.0, 300.0, 8)])
+    def test_cut_follows_the_states_at_large_ell(self, omega, ell, n_max):
+        # At (4, 285) the states peak near x = 12, beyond the fixed Gaussian
+        # cut at x = 8.2. At (4, 300) with n_max = 8, L_n^a keeps growing
+        # well past that peak, so the cut must step out from there.
+        family = RadialOscillatorFamily(OscillatorParams(omega, ell))
+        gram = orthonormality_matrix(family, 0, n_max=n_max)
+        assert np.max(np.abs(gram - np.eye(n_max + 1))) <= 1e-10
+
 
 class TestNodeCount:
     def test_examples(self, family):
@@ -409,13 +419,14 @@ class TestNodeCount:
         assert node_count(cubic, (0.5, 3.5), samples=7) == 3
 
     def test_underflowed_samples_are_no_nodes(self):
-        # At ell = 300 the state underflows to 0 below x = 1.3 and overflows
-        # beyond x = 15; L_2^(300.5) has its roots at x = 23.9 and 25.3.
+        # At ell = 300 the state underflows to 0 below x = 1.3, where its
+        # true values lie below the smallest float, and stays finite
+        # everywhere; L_2^(300.5) has its roots at x = 23.9 and 25.3.
         u = RadialOscillatorFamily(OscillatorParams(1.0, 300.0)).eigenstate(0, 2)
+        assert np.all(np.isfinite(u(np.linspace(DEFAULT_X_MIN, 30.0, 4096))))
         cut = gaussian_tail_cutoff(1.0, safety=1.35)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert node_count(u, (DEFAULT_X_MIN, 30.0)) == 2
-            assert node_count(u, (DEFAULT_X_MIN, cut)) == 0
+        assert node_count(u, (DEFAULT_X_MIN, 30.0)) == 2
+        assert node_count(u, (DEFAULT_X_MIN, cut)) == 0
 
     def test_interval_validation(self, family):
         with pytest.raises(ValueError):
@@ -603,6 +614,17 @@ class TestEvolveOracle:
                         nt=50)
         with pytest.raises(RuntimeError, match="diverged"):
             evolve_oracle(fig1, grid, refinements=1)
+
+    @pytest.mark.parametrize("ell", [500.0, 1000.0])
+    def test_state_outside_the_window_rejected(self, ell):
+        # The states peak near x = 32 and 45. On the window P is below 1e-195
+        # (ell = 500: its square underflows) or exactly 0 (ell = 1000), so
+        # both errors would be 0 and their ratio 0 / 0.
+        family = RadialOscillatorFamily(OscillatorParams(1.0, ell))
+        grid = GridSpec(x_min=0.2, x_max=8.0, nx=50, t_min=1.0, t_max=2.0,
+                        nt=10)
+        with pytest.raises(ValueError, match="time-stepper error is 0"):
+            evolve_oracle(build_fpe(family, 0, 2, 1.0), grid)
 
     def test_time_order_validation(self):
         # the oracle's window is its grid's, which cannot run backward
