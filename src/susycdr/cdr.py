@@ -100,12 +100,6 @@ class CdrSystem:
 
     # -- z-profiles (closed form, with derivatives) ---------------------
 
-    def solution(self, z):
-        return self.coeff_a * self.y_state(z)
-
-    def diffusion(self, z):
-        return self.coeff_b * self.sigma_state(z)
-
     def jets(self, z):
         """Scaled ((y, y', y''), (sigma, sigma', sigma'')) at z > 0, one jet
         per distinct state (fpe systems share theirs)."""
@@ -216,19 +210,25 @@ def eval_fields(system: CdrSystem, x, t, fields: str = "PDCR"):
     e = system.exponents
     # R reads y and sigma, except on fpe systems, whose reaction is zero
     r_profiles = "R" in fields and system.case_tag is not CaseTag.FPE
-    y = system.solution(z) if "P" in fields or r_profiles else None
+    u_sig = sig = y = None
     if "C" in fields:  # sigma and sigma' from one first-order jet, shaped like z
-        sig, sig_d = (system.coeff_b * d.reshape(np.shape(z))
-                      for d in system.sigma_state.jet(z, 1))
-    else:
-        sig = system.diffusion(z) if "D" in fields or r_profiles else None
+        u_sig, u_sig_d = (d.reshape(np.shape(z)) for d in system.sigma_state.jet(z, 1))
+    elif "D" in fields or r_profiles:
+        u_sig = system.sigma_state(z)
+    if u_sig is not None:
+        sig = system.coeff_b * u_sig
+    if "P" in fields or r_profiles:
+        # fpe systems share one state: y reuses sigma's unscaled values
+        shared = system.y_state is system.sigma_state and u_sig is not None
+        y = system.coeff_a * (u_sig if shared else system.y_state(z))
     out = []
     if "P" in fields:
         out.append(t_arr ** e.mu * y)
     if "D" in fields:
         out.append(t_arr ** e.delta * sig)
     if "C" in fields:
-        out.append(t_arr ** e.gamma * system.convection(z, (sig, sig_d)))
+        out.append(t_arr ** e.gamma
+                   * system.convection(z, (sig, system.coeff_b * u_sig_d)))
     if "R" in fields:
         out.append(t_arr ** e.rho_exp * system.reaction(z, y, sig))
     return tuple(out)

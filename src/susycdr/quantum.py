@@ -191,6 +191,7 @@ class Eigenstate:
     member. :meth:`jet` gives (u, u') or (u, u', u'') in closed form for
     x > 0 from one evaluation, with u equal to the call's value bit for
     bit; ``deriv``/``deriv2`` are its u' and u'' (a float for a scalar x).
+    :meth:`nodes` gives the n zeros of u from the roots of L_n^a.
     """
 
     def __init__(self, family: RadialOscillatorFamily, s: int, n: int):
@@ -203,10 +204,6 @@ class Eigenstate:
         self._omega = member.omega
         self._lag_a, self._power, self._log_norm = _laguerre_form(member, n)
         self.energy = family.energy(s, n)
-
-    @property
-    def norm_constant(self) -> float:
-        return math.exp(self._log_norm)
 
     def __call__(self, x):
         arr, _, q = _half_line_q(self._omega, x)
@@ -242,6 +239,17 @@ class Eigenstate:
                               + (2.0 * p * inv_q - 1.0) * lag_d + lags[2])
             jet.append(d2u_dq2 * dq_dx * dq_dx + du_dq * self._omega)
         return tuple(d.reshape(arr.shape) for d in jet)
+
+    def nodes(self) -> np.ndarray:
+        """The n zeros of u on x > 0, ascending: x = sqrt(2 q / omega) at
+        the zeros q of L_n^a, the eigenvalues of its n x n Jacobi matrix
+        (diagonal 2k + a + 1, off-diagonal sqrt(k (k + a)); Golub and
+        Welsch 1969). Empty for n = 0."""
+        k = np.arange(self.n)
+        off = np.sqrt(k[1:] * (k[1:] + self._lag_a))
+        jacobi = (np.diag(2.0 * k + self._lag_a + 1.0)
+                  + np.diag(off, 1) + np.diag(off, -1))
+        return np.sqrt(2.0 * np.linalg.eigvalsh(jacobi) / self._omega)
 
     def deriv(self, x):
         out = self.jet(x, 1)[1]

@@ -324,10 +324,11 @@ def positive_diffusion_x_max(system: CdrSystem, t_min: float,
     backward-parabolic beyond its first zero, and no initial-value scheme
     converges there. The first zero z* of the diffusion profile bounds
     the usable region by x < z* * t_min^alpha (for alpha > 0); the bound
-    returned keeps a 5 % gap from the degenerate boundary. z* is bracketed
-    on 4096 samples, then bisected. ``t_min`` and ``x_max`` must be finite
-    numbers above 0. Raises ValueError naming B when D is not positive
-    next to x = 0 (at its first non-zero sample), where no such x exists.
+    returned keeps a 5 % gap from the degenerate boundary. z* is the
+    smallest root of the diffusion state's Laguerre polynomial
+    (:meth:`Eigenstate.nodes`). ``t_min`` and ``x_max`` must be finite
+    numbers above 0. D = B u_sigma and u_sigma > 0 next to x = 0, so a B
+    that is not above 0 leaves no such x and raises ValueError naming B.
     """
     alpha = system.alpha
     if alpha <= 0:
@@ -335,30 +336,13 @@ def positive_diffusion_x_max(system: CdrSystem, t_min: float,
     for name, value in (("t_min", t_min), ("x_max", x_max)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be a finite number above 0, got {value}")
-    z_hi = x_max / t_min ** alpha
-    zs = np.linspace(z_hi / 4096, z_hi, 4096)
-    sig = np.asarray(system.diffusion(zs))
-    nonzero = sig[sig != 0.0]
-    if nonzero.size and not nonzero[0] > 0.0:
+    if not system.coeff_b > 0.0:
         raise ValueError(f"diffusion D is not positive next to x = 0 "
                          f"(B = {system.coeff_b:g}): time stepping needs B > 0")
-    sign_change = np.nonzero(sig[:-1] * sig[1:] < 0.0)[0]
-    if sign_change.size == 0:
+    nodes = system.sigma_state.nodes()
+    if nodes.size == 0 or nodes[0] * t_min ** alpha >= x_max:
         return x_max
-    i = int(sign_change[0])
-    z_lo, z_up = zs[i], zs[i + 1]
-    f_lo = sig[i]
-    for _ in range(60):
-        mid = 0.5 * (z_lo + z_up)
-        f_mid = float(system.diffusion(mid))
-        if f_mid == 0.0:
-            z_lo = mid
-            break
-        if f_lo * f_mid < 0.0:
-            z_up = mid
-        else:
-            z_lo, f_lo = mid, f_mid
-    return min(x_max, 0.95 * z_lo * t_min ** alpha)
+    return 0.95 * float(nodes[0]) * t_min ** alpha
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,17 @@ class TestFieldSelection:
         eval_fields(system, self.X[None, :], self.LEVELS[:16, None], "DC")
         assert laguerre_calls == {"laguerre_table": 2, "laguerre_values": 0}
 
+    def test_fpe_evaluates_its_one_state_once(self, family, laguerre_calls):
+        # y_state is sigma_state: P reuses the u of sigma's first-order jet
+        # (L_2^a and L_1^{a+1}), which equals the state's value bit for bit
+        system = _selection_systems(family)["fpe"]
+        x, t = self.X[None, :], self.LEVELS[:16, None]
+        p = eval_fields(system, x, t, "PDCR")[0]
+        assert laguerre_calls == {"laguerre_table": 2, "laguerre_values": 0}
+        z = x / t ** system.alpha
+        u = system.y_state(z)
+        assert np.array_equal(p, t ** system.exponents.mu * (system.coeff_a * u))
+
     @pytest.mark.parametrize("fields", ["", "X", "RP", "PP", "pd"])
     def test_bad_selection_rejected(self, fig1, fields):
         with pytest.raises(ValueError, match="fields"):

@@ -263,6 +263,18 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "'grid.x_min' = 0.2 must lie below x = 0.173756" in err
 
+    @pytest.mark.parametrize("indices", [{"case": "fpe", "n": 1, "s": 0},
+                                         {"case": "case_a", "n": 0, "m": 1}],
+                             ids=["fpe", "case_a"])
+    def test_diffusion_node_on_a_scan_sample_passes(self, tmp_path, capsys,
+                                                    indices):
+        # D's first node at z = 2 is found, so the stepper runs on x <= 1.9
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"omega": 1.0, "ell": 0.5, "alpha": 1.0,
+                                      **indices}))
+        assert run(["--config", str(config), "verify"]) == 0
+        assert capsys.readouterr().out.endswith("verification: PASS\n")
+
     def test_absurd_tolerance_fails_with_exit_1(self, capsys):
         assert run(["--tol", "1e-20", "verify"]) == 1
         assert "FAIL" in capsys.readouterr().out

@@ -2,8 +2,9 @@
 
 The quadrature-derived normalization is the oracle for eigenfunction
 values, the Schroedinger residual for the potential's centrifugal
-coefficient, and closed-form logarithmic derivatives for the Darboux
-identities.
+coefficient, closed-form logarithmic derivatives for the Darboux
+identities, and scipy's Laguerre roots and sampled sign changes for the
+nodes.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_genlaguerre
 
 from susycdr.mathfn import _KRONROD_NODES, QuadratureSpec, integrate
 from susycdr.quantum import (DEFAULT_X_MIN, Eigenstate, OscillatorParams,
@@ -138,9 +140,30 @@ class TestEigenfunction:
             assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_interior_zero_count(self, family):
-        assert node_count(family.eigenstate(0, 0), (DEFAULT_X_MIN, 10.0)) == 0
-        assert node_count(family.eigenstate(0, 3), (DEFAULT_X_MIN, 10.0)) == 3
-        assert node_count(family.eigenstate(3, 1), (DEFAULT_X_MIN, 10.0)) == 1
+        # (0, 10) holds every node of these states, so the sampled count
+        # and the closed-form nodes agree
+        for s, n in [(0, 0), (0, 3), (3, 1), (0, 6), (3, 4)]:
+            u = family.eigenstate(s, n)
+            assert node_count(u, (DEFAULT_X_MIN, 10.0)) == u.nodes().size == n
+            assert n == 0 or u.nodes()[-1] < 10.0
+
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 30.0, 300.0])
+    @pytest.mark.parametrize("s", [0, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
+    def test_nodes_match_laguerre_roots(self, ell, s, n):
+        omega = 2.0
+        u = RadialOscillatorFamily(OscillatorParams(omega, ell)).eigenstate(s, n)
+        q = roots_genlaguerre(n, ell + s + 0.5)[0]
+        np.testing.assert_allclose(u.nodes(), np.sqrt(2.0 * q / omega),
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 30.0])
+    @pytest.mark.parametrize("s,n", [(0, 1), (0, 6), (3, 4), (1, 12)])
+    def test_state_changes_sign_across_each_node(self, ell, s, n):
+        u = RadialOscillatorFamily(OscillatorParams(1.0, ell)).eigenstate(s, n)
+        nodes = u.nodes()
+        assert nodes.size == n and np.all(np.diff(nodes) > 0.0)
+        assert np.all(u(nodes * (1.0 - 1e-9)) * u(nodes * (1.0 + 1e-9)) < 0.0)
 
     @pytest.mark.parametrize("s,n", [(0, 0), (0, 5), (1, 2), (3, 4)])
     def test_schrodinger_residual(self, family, s, n):

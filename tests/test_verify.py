@@ -3,6 +3,7 @@ counting, and the time-stepping cross-check."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -462,6 +463,16 @@ def test_case_b_sweep_residuals_and_swap(system):
         r = eval_fields(system, x, t)[3]
         r_swapped = eval_fields(swapped, x, t)[3]
         assert np.max(np.abs(r + r_swapped)) <= 1e-14 * np.max(np.abs(r))
+    # D = B u_sigma at t = 1: positive up to x_hi and, when a node cuts the
+    # range, negative just past that first node x_hi / 0.95
+    if system.coeff_b < 0.0:
+        with pytest.raises(ValueError, match=re.escape(f"(B = {system.coeff_b:g})")):
+            positive_diffusion_x_max(system, 1.0, 8.0)
+        return
+    x_hi = positive_diffusion_x_max(system, 1.0, 8.0)
+    assert np.all(eval_fields(system, np.linspace(x_hi / 400, x_hi, 400), 1.0, "D")[0] > 0.0)
+    if x_hi < 8.0:
+        assert eval_fields(system, x_hi / 0.95 * (1.0 + 1e-9), 1.0, "D")[0] < 0.0
 
 
 class TestPositiveDiffusionXMax:
@@ -472,9 +483,20 @@ class TestPositiveDiffusionXMax:
     def test_noded_diffusion_truncates_before_first_zero(self, fig1):
         # diffusion profile u_1 of member 3 vanishes at z = sqrt(11)
         x_hi = positive_diffusion_x_max(fig1, 1.0, 8.0)
-        assert x_hi == pytest.approx(0.95 * math.sqrt(11.0), rel=1e-6)
+        assert x_hi == 0.95 * math.sqrt(11.0)
         zs = np.linspace(1e-3, x_hi, 500)
-        assert np.all(fig1.diffusion(zs) > 0.0)
+        assert np.all(eval_fields(fig1, zs, 1.0, "D")[0] > 0.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda family: build_fpe(family, 0, 1, 1.0),
+        lambda family: build_case_a(family, 1.0, n=0, m=1),
+    ], ids=["fpe", "case_a"])
+    def test_node_on_a_scan_sample_truncates(self, build):
+        # at (omega, ell) = (1, 0.5) the diffusion state u_1 vanishes at
+        # z = 2, which sample 1023 of a 4096-point scan up to z = 8 hits
+        # exactly, so a sign-change scan sees no node there
+        system = build(RadialOscillatorFamily(OscillatorParams(1.0, 0.5)))
+        assert positive_diffusion_x_max(system, 1.0, 8.0) == 1.9
 
     @pytest.mark.parametrize("t_min, x_max, name", [
         (math.nan, 8.0, "t_min"), (0.0, 8.0, "t_min"), (-1.0, 8.0, "t_min"),
@@ -489,7 +511,7 @@ class TestPositiveDiffusionXMax:
         # D = B u_sigma with u_sigma > 0 next to x = 0: B < 0 leaves no x
         # with D > 0 below the first node
         flipped = dataclasses.replace(fig1, coeff_b=-3.0)
-        assert np.all(flipped.diffusion(np.linspace(1e-3, 3.0, 100)) < 0.0)
+        assert np.all(eval_fields(flipped, np.linspace(1e-3, 3.0, 100), 1.0, "D")[0] < 0.0)
         with pytest.raises(ValueError, match=r"\(B = -3\)"):
             positive_diffusion_x_max(flipped, 1.0, 8.0)
 
