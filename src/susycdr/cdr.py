@@ -118,7 +118,7 @@ class CdrSystem:
     def reaction(self, z, y, sigma):
         """Reaction profile rho from the solution and diffusion values at z."""
         if self.case_tag is CaseTag.FPE:
-            return np.zeros_like(np.asarray(z, dtype=np.float64)) if np.ndim(z) else 0.0
+            return np.zeros(np.shape(z))
         if self.case_tag is CaseTag.CASE_A:
             return -self.delta_e * sigma * y
         dv = (self.family.potential(self.sigma_state.s, z)
@@ -211,8 +211,8 @@ def eval_fields(system: CdrSystem, x, t, fields: str = "PDCR"):
     # R reads y and sigma, except on fpe systems, whose reaction is zero
     r_profiles = "R" in fields and system.case_tag is not CaseTag.FPE
     u_sig = sig = y = None
-    if "C" in fields:  # sigma and sigma' from one first-order jet, shaped like z
-        u_sig, u_sig_d = (d.reshape(np.shape(z)) for d in system.sigma_state.jet(z, 1))
+    if "C" in fields:  # sigma and sigma' from one first-order jet
+        u_sig, u_sig_d = system.sigma_state.jet(z, 1)
     elif "D" in fields or r_profiles:
         u_sig = system.sigma_state(z)
     if u_sig is not None:

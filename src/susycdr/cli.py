@@ -4,7 +4,8 @@ Subcommands
 -----------
 build     parse a config, construct the system, print a summary
 eval      sample P, D, C, R on the configured grid and write one CSV
-verify    run the full oracle suite and print a pass/fail table
+verify    run the full oracle suite and print a pass/fail table; takes
+          Laguerre degrees (n, m, n_prime) from 0 to 8
 emit-fig  write the bundled example datasets (two interchanged parameter
           sets of the two-chain-member case at t = 0.3, 1.0, 2.0) plus a
           gnuplot script
@@ -26,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .cdr import (CaseTag, CdrSystem, build_case_a, build_case_b, build_fpe,
-                  eval_fields)
+                  eval_fields, swap)
 from .quantum import OscillatorParams, RadialOscillatorFamily
-from .verify import (GridSpec, ResidualReport, evolve_oracle, ode_residual,
-                     orthonormality_matrix, pde_residual,
+from .verify import (GRAM_MAX_DEGREE, GridSpec, ResidualReport, evolve_oracle,
+                     ode_residual, orthonormality_matrix, pde_residual,
                      positive_diffusion_x_max, schrodinger_residual)
 
 __all__ = ["main", "run", "RunConfig", "DEFAULT_CONFIG"]
@@ -271,11 +272,16 @@ def _cmd_eval(config: RunConfig, out_dir: Path) -> int:
 
 
 def _gram_deviation(system: CdrSystem, config: RunConfig) -> float:
-    """Largest |G - I| over the Gram matrices of both profiles' chain members."""
+    """Largest |G - I| over the Gram matrices of both profiles' chain
+    members, each taken up to the highest degree configured on that member
+    (at least 4)."""
+    n_max = {}
+    for state in (system.y_state, system.sigma_state):
+        n_max[state.s] = max(n_max.get(state.s, 4), state.n)
     worst = 0.0
-    for s_idx in {system.y_state.s, system.sigma_state.s}:
-        gram = orthonormality_matrix(config.family, s_idx, n_max=4)
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(5)))))
+    for s_idx, top in n_max.items():
+        gram = orthonormality_matrix(config.family, s_idx, n_max=top)
+        worst = max(worst, float(np.max(np.abs(gram - np.eye(top + 1)))))
     return worst
 
 
@@ -325,6 +331,12 @@ _VERIFY_ROWS = (
 
 def _cmd_verify(config: RunConfig, tol_override: float | None,
                 out_dir: Path | None) -> int:
+    for key in ("n", "m", "n_prime"):
+        if config.indices.get(key, 0) > GRAM_MAX_DEGREE:
+            raise ConfigError(
+                f"config field '{key}' must be at most {GRAM_MAX_DEGREE} for "
+                f"verify, got {config.indices[key]}: its Gram integrates "
+                f"states up to degree {GRAM_MAX_DEGREE}")
     system = config.build()
     _finite_levels(system, config)
     tol = config.tolerances
@@ -372,9 +384,7 @@ def _fig_systems():
     family = RadialOscillatorFamily(OscillatorParams(1.0, 1.0))
     primary = build_case_b(family, alpha=1.0, n=3, s=1, n_prime=1, s_prime=3,
                            coeff_a=1.0, coeff_b=3.0)
-    interchanged = build_case_b(family, alpha=1.0, n=1, s=3, n_prime=3,
-                                s_prime=1, coeff_a=3.0, coeff_b=1.0)
-    return (("fig1", primary), ("fig2", interchanged))
+    return (("fig1", primary), ("fig2", swap(primary)))
 
 
 _PLOT_SCRIPT = """\

@@ -65,17 +65,13 @@ def laguerre(n: int, a: float, y):
     """Generalized Laguerre polynomial L_n^a(y).
 
     Upward three-term recurrence; stable for the moderate degrees used
-    here. ``y`` may be a scalar or an ndarray.
+    here. ``y`` may be a scalar or an ndarray; the result is shaped like it.
     """
     if n < 0:
         raise ValueError(f"degree n must be >= 0, got {n}")
     if a <= -1.0:
         raise ValueError(f"parameter a must be > -1, got {a}")
-    arr = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    out = laguerre_values(n, float(a), arr.ravel()).reshape(arr.shape)
-    if np.ndim(y) == 0:
-        return float(out[0])
-    return out
+    return laguerre_values(n, float(a), np.asarray(y, dtype=np.float64))
 
 
 # Gauss-Kronrod 30/61 rule on [-1, 1] (QUADPACK qk61): the x >= 0 half,

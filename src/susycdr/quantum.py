@@ -31,7 +31,9 @@ of a chosen order; finite differences appear only as an independent
 check in the tests. Values and jets share one log-space prefactor,
 exp(ln N + (p ln q - q/2)): the Gaussian decay and the power of q are
 combined before exponentiating, so neither overflows nor underflows on
-its own at large ell + s.
+its own at large ell + s. Every value returned here is shaped like the
+input x, a scalar included (it gives an ``np.float64``); the Darboux
+maps read each state's values and derivatives from one jet.
 """
 
 import math
@@ -68,13 +70,6 @@ class OscillatorParams:
                 raise ValueError(f"{name} must be a finite number above 0, got {value}")
 
 
-def _check_positive_x(x):
-    arr = np.asarray(x, dtype=np.float64)
-    if (arr <= 0.0).any():
-        raise ValueError("potential evaluation requires x > 0")
-    return arr
-
-
 def _laguerre_form(member: OscillatorParams, n: int):
     """(a, p, ln N) of u_n = N q^p exp(-q/2) L_n^a(q) for member parameters
     (omega, L): a = L + 1/2, p = (L + 1)/2 and
@@ -87,16 +82,15 @@ def _laguerre_form(member: OscillatorParams, n: int):
 
 
 def _half_line_q(omega, x, derivative=False):
-    """(arr, flat, q): ``x`` as an at-least-1-d array, its flat view, and
-    q = omega x^2 / 2 there. Values need x >= 0, derivatives x > 0."""
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    """(x, q): ``x`` as a float array and q = omega x^2 / 2 there, both
+    shaped like the input. Values need x >= 0, derivatives x > 0."""
+    x = np.asarray(x, dtype=np.float64)
     if derivative:
-        if (arr <= 0.0).any():
+        if (x <= 0.0).any():
             raise ValueError("eigenstate derivative requires x > 0")
-    elif (arr < 0.0).any():
+    elif (x < 0.0).any():
         raise ValueError("eigenstate evaluation requires x >= 0")
-    flat = arr.ravel()
-    return arr, flat, 0.5 * omega * flat * flat
+    return x, 0.5 * omega * x * x
 
 
 def _log_envelope(q, power):
@@ -146,21 +140,20 @@ class RadialOscillatorFamily:
 
     def eigenstate_values(self, s: int, n_max: int, x) -> list:
         """[u_0(x), ..., u_{n_max}(x)] of chain member s, each shaped like
-        ``np.atleast_1d(x)``; requires x >= 0.
+        ``x``; requires x >= 0.
 
         Equal, bit for bit, to ``[self.eigenstate(s, n)(x) for n in
-        range(n_max + 1)]`` for array ``x``, but takes q and p ln q - q/2
-        once and every Laguerre degree from one recurrence.
+        range(n_max + 1)]``, but takes q and p ln q - q/2 once and every
+        Laguerre degree from one recurrence.
         """
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         member = self.shifted_params(s)
         forms = [_laguerre_form(member, n) for n in range(n_max + 1)]
         lag_a, power, _ = forms[0]
-        arr, _, q = _half_line_q(member.omega, x)
-        values = _values(q, power, [log_norm for _, _, log_norm in forms],
-                         laguerre_table(n_max, lag_a, q))
-        return [val.reshape(arr.shape) for val in values]
+        _, q = _half_line_q(member.omega, x)
+        return _values(q, power, [log_norm for _, _, log_norm in forms],
+                       laguerre_table(n_max, lag_a, q))
 
     def __repr__(self):
         return f"RadialOscillatorFamily(omega={self.omega}, ell={self.ell})"
@@ -168,10 +161,11 @@ class RadialOscillatorFamily:
 
 def base_potential(params: OscillatorParams, x):
     """V_0(x) = omega^2 x^2/4 + ell(ell+1)/x^2 - omega(ell + 3/2), x > 0."""
-    arr = _check_positive_x(x)
+    x = np.asarray(x, dtype=np.float64)
+    if (x <= 0.0).any():
+        raise ValueError("potential evaluation requires x > 0")
     w, l = params.omega, params.ell
-    out = 0.25 * w * w * arr * arr + l * (l + 1.0) / (arr * arr) - w * (l + 1.5)
-    return float(out) if np.ndim(x) == 0 else out
+    return 0.25 * w * w * x * x + l * (l + 1.0) / (x * x) - w * (l + 1.5)
 
 
 class Eigenstate:
@@ -190,7 +184,7 @@ class Eigenstate:
     :meth:`RadialOscillatorFamily.eigenstate_values` applies to a whole
     member. :meth:`jet` gives (u, u') or (u, u', u'') in closed form for
     x > 0 from one evaluation, with u equal to the call's value bit for
-    bit; ``deriv``/``deriv2`` are its u' and u'' (a float for a scalar x).
+    bit; ``deriv``/``deriv2`` are its u' and u''.
     :meth:`nodes` gives the n zeros of u from the roots of L_n^a.
     """
 
@@ -206,14 +200,13 @@ class Eigenstate:
         self.energy = family.energy(s, n)
 
     def __call__(self, x):
-        arr, _, q = _half_line_q(self._omega, x)
+        _, q = _half_line_q(self._omega, x)
         lag = laguerre_values(self.n, self._lag_a, q)
-        val = _values(q, self._power, [self._log_norm], [lag])[0].reshape(arr.shape)
-        return float(val[0]) if np.ndim(x) == 0 else val
+        return _values(q, self._power, [self._log_norm], [lag])[0]
 
     def jet(self, x, order: int = 2):
         """(u, u') for ``order=1`` or (u, u', u'') for ``order=2`` at x > 0,
-        each shaped like ``np.atleast_1d(x)``.
+        each shaped like ``x``.
 
         One prefactor base = exp(ln N + (p ln q - q/2)) serves every
         entry, and the q-derivatives need only 1/q:
@@ -224,7 +217,7 @@ class Eigenstate:
         """
         if order not in (1, 2):
             raise ValueError(f"jet order must be 1 or 2, got {order}")
-        arr, flat, q = _half_line_q(self._omega, x, derivative=True)
+        x, q = _half_line_q(self._omega, x, derivative=True)
         p = self._power
         lags = [laguerre_table(self.n - k, self._lag_a + k, q)[-1]
                 if k <= self.n else 0.0 for k in range(order + 1)]
@@ -232,13 +225,13 @@ class Eigenstate:
         base = np.exp(self._log_norm + _log_envelope(q, p))
         inv_q = 1.0 / q
         du_dq = base * ((p * inv_q - 0.5) * lag + lag_d)
-        dq_dx = self._omega * flat
+        dq_dx = self._omega * x
         jet = [base * lag, du_dq * dq_dx]
         if order == 2:
             d2u_dq2 = base * ((((p * (p - 1.0)) * inv_q - p) * inv_q + 0.25) * lag
                               + (2.0 * p * inv_q - 1.0) * lag_d + lags[2])
             jet.append(d2u_dq2 * dq_dx * dq_dx + du_dq * self._omega)
-        return tuple(d.reshape(arr.shape) for d in jet)
+        return tuple(jet)
 
     def nodes(self) -> np.ndarray:
         """The n zeros of u on x > 0, ascending: x = sqrt(2 q / omega) at
@@ -252,12 +245,10 @@ class Eigenstate:
         return np.sqrt(2.0 * np.linalg.eigvalsh(jacobi) / self._omega)
 
     def deriv(self, x):
-        out = self.jet(x, 1)[1]
-        return float(out[0]) if np.ndim(x) == 0 else out
+        return self.jet(x, 1)[1]
 
     def deriv2(self, x):
-        out = self.jet(x)[2]
-        return float(out[0]) if np.ndim(x) == 0 else out
+        return self.jet(x)[2]
 
     def __repr__(self):
         return (
@@ -270,28 +261,25 @@ def darboux_partner(potential, ground_state, x):
     """Partner potential V(x) - 2 (ln phi(x))'' built on a nodeless state.
 
     ``potential`` is a callable V(x); ``ground_state`` must be positive at
-    every evaluation point (it seeds the transformation) and supply
-    analytic ``deriv``/``deriv2`` like :class:`Eigenstate`.
+    every evaluation point (it seeds the transformation) and supply a
+    ``jet(x, order)`` like :class:`Eigenstate`, read once.
     """
-    phi_val = np.asarray(ground_state(x), dtype=np.float64)
-    if (phi_val <= 0.0).any():
+    phi, phi_d, phi_dd = ground_state.jet(x)
+    if np.any(phi <= 0.0):
         raise ValueError("darboux_partner requires the seed state to be positive")
-    ratio1 = ground_state.deriv(x) / phi_val
-    log_d2 = ground_state.deriv2(x) / phi_val - ratio1 * ratio1
-    out = potential(x) - 2.0 * log_d2
-    return float(out) if np.ndim(x) == 0 else out
+    ratio1 = phi_d / phi
+    return potential(x) - 2.0 * (phi_dd / phi - ratio1 * ratio1)
 
 
 def darboux_state(seed_state, source_state, x):
     """Transformed state phi'(x) - (ln phi_k(x))' * phi(x).
 
     Annihilates its seed; applied to another state of the same potential
-    it lands in the partner problem at unchanged energy. Both states
-    supply an analytic ``deriv``.
+    it lands in the partner problem at unchanged energy. Each state
+    supplies a ``jet(x, order)``, read once at order 1.
     """
-    seed_val = np.asarray(seed_state(x), dtype=np.float64)
-    if (seed_val == 0.0).any():
+    seed, seed_d = seed_state.jet(x, 1)
+    if np.any(seed == 0.0):
         raise ValueError("darboux_state is undefined at zeros of the seed state")
-    out = (source_state.deriv(x)
-           - (seed_state.deriv(x) / seed_val) * np.asarray(source_state(x)))
-    return float(out) if np.ndim(x) == 0 else out
+    source, source_d = source_state.jet(x, 1)
+    return source_d - (seed_d / seed) * source

@@ -29,7 +29,11 @@ __all__ = [
     "node_count",
     "positive_diffusion_x_max",
     "evolve_oracle",
+    "GRAM_MAX_DEGREE",
 ]
+
+# Highest n_max of orthonormality_matrix.
+GRAM_MAX_DEGREE = 8
 
 # Floor added to local scales before dividing, so relative residuals stay
 # finite where every field vanishes (large x).
@@ -256,8 +260,8 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
                           n_max: int) -> np.ndarray:
     """Gram matrix G[m, n] = integral of u_m u_n over (0, inf), m, n <= n_max.
 
-    ``n_max`` runs from 0 to 8. Every entry runs its own adaptive
-    Gauss-Kronrod 30/61 quadrature (no symmetry shortcut); the
+    ``n_max`` runs from 0 to ``GRAM_MAX_DEGREE`` (8). Every entry runs its
+    own adaptive Gauss-Kronrod 30/61 quadrature (no symmetry shortcut); the
     quadrature is the arbiter of the normalization convention. The
     panels of all entries bisect one interval, so the states are
     evaluated once per distinct node array, all n_max + 1 of them in one
@@ -267,8 +271,8 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
     Gram needs only a handful of node arrays. The half line is cut where
     every state is below 1e-8, past their peak at any ell + s.
     """
-    if not 0 <= n_max <= 8:
-        raise ValueError(f"n_max must be in 0..8, got {n_max}")
+    if not 0 <= n_max <= GRAM_MAX_DEGREE:
+        raise ValueError(f"n_max must be in 0..{GRAM_MAX_DEGREE}, got {n_max}")
     memo = {}
 
     def values(xx):
@@ -351,11 +355,9 @@ class EvolveReport:
 
     ``entries`` holds (nx, nt, l2_error) per resolution, coarsest first;
     ``ratios[k]`` is entries[k]'s error over entries[k + 1]'s, about 4
-    when the stepper converges at second order. ``field`` is the numeric
-    solution at ``grid.t_max`` on the coarsest grid.
+    when the stepper converges at second order.
     """
 
-    field: np.ndarray
     entries: tuple
     ratios: tuple
 
@@ -416,20 +418,19 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec,
         raise ValueError(f"need t_min < t_max, got both {grid.t_min}")
     if refinements < 1:
         raise ValueError(f"refinements must be >= 1, got {refinements}")
-    fields, entries = [], []
+    entries = []
     for level in range(refinements):
         nx = grid.nx * 2 ** level
         nt = grid.nt * 2 ** level
         x = np.linspace(grid.x_min, grid.x_max, nx)
-        p_num, err = _evolve_single(system, x, grid.t_min, grid.t_max, nt)
+        _, err = _evolve_single(system, x, grid.t_min, grid.t_max, nt)
         if err == 0.0:
             raise ValueError(
                 f"the time-stepper error is 0 at nx={nx}, nt={nt}: field P is "
                 f"zero or tiny on the whole window x in [{grid.x_min:g}, "
                 f"{grid.x_max:g}] (the squared errors underflow), so the "
                 "errors have no ratio")
-        fields.append(p_num)
         entries.append((nx, nt, err))
     ratios = tuple(entries[k][2] / entries[k + 1][2]
                    for k in range(len(entries) - 1))
-    return EvolveReport(field=fields[0], entries=tuple(entries), ratios=ratios)
+    return EvolveReport(entries=tuple(entries), ratios=ratios)

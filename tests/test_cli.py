@@ -8,9 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+from susycdr import cli
 from susycdr.cdr import eval_fields
 from susycdr.cli import (_FIG_GRID, _FIG_TIMES, DEFAULT_CONFIG, ConfigError,
                          _fig_systems, main, parse_config, run)
+from susycdr.verify import orthonormality_matrix
 
 
 def write_config(tmp_path, **overrides):
@@ -253,15 +255,50 @@ class TestVerifyCommand:
 
     def test_diffusion_node_below_x_min_exits_2_naming_it(self, tmp_path,
                                                           capsys):
-        # the diffusion profile's first node at t = 1 lies near x = 0.183,
+        # the diffusion profile's first node at t = 1 lies near x = 0.181,
         # below grid.x_min = 0.2
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
-            "omega": 20.0, "ell": 0.5, "alpha": 1.0, "case": "fpe", "n": 10,
+            "omega": 25.0, "ell": 0.5, "alpha": 1.0, "case": "fpe", "n": 8,
             "s": 0, "grid": {"x_min": 0.2, "x_max": 2.0}}))
         assert run(["--config", str(config), "verify"]) == 2
         err = capsys.readouterr().err
-        assert "'grid.x_min' = 0.2 must lie below x = 0.173756" in err
+        assert "'grid.x_min' = 0.2 must lie below x = 0.171923" in err
+
+    def test_gram_integrates_through_the_configured_degree(
+            self, tmp_path, monkeypatch):
+        gram_n_max = []
+
+        def recorded(family, s, n_max):
+            gram_n_max.append(n_max)
+            return orthonormality_matrix(family, s, n_max)
+
+        monkeypatch.setattr(cli, "orthonormality_matrix", recorded)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"omega": 1.0, "ell": 1.0, "alpha": 0.8,
+                                      "case": "fpe", "s": 1, "n": 6}))
+        assert run(["--config", str(config), "verify"]) == 0
+        assert gram_n_max == [6]
+
+    @pytest.mark.parametrize("key, indices", [
+        ("n", {"case": "fpe", "s": 1, "n": 9}),
+        ("m", {"case": "case_a", "n": 1, "m": 9}),
+        ("n_prime", {"case": "case_b", "n": 0, "s": 9, "n_prime": 9,
+                     "s_prime": 0}),
+    ])
+    def test_degree_above_8_exits_2_before_any_oracle(
+            self, tmp_path, monkeypatch, capsys, key, indices):
+        def no_oracle(*args):
+            raise AssertionError("an oracle ran")
+
+        monkeypatch.setattr(cli, "schrodinger_residual", no_oracle)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"omega": 1.0, "ell": 1.0, "alpha": 0.8,
+                                      **indices}))
+        assert run(["--config", str(config), "verify"]) == 2
+        captured = capsys.readouterr()
+        assert f"config field '{key}' must be at most 8" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("indices", [{"case": "fpe", "n": 1, "s": 0},
                                          {"case": "case_a", "n": 0, "m": 1}],

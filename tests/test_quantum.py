@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre
 
+from susycdr.cdr import build_case_b, build_fpe, eval_fields
 from susycdr.mathfn import _KRONROD_NODES, QuadratureSpec, integrate
 from susycdr.quantum import (DEFAULT_X_MIN, Eigenstate, OscillatorParams,
                              RadialOscillatorFamily, base_potential,
@@ -277,27 +278,56 @@ class TestJetArbiter:
             assert np.max(np.abs(got - ref)) <= bound * scale, k
 
 
+def _assert_same_bits(got, ref):
+    """Equal bits and equal shape; a 0-d reference wants a float."""
+    assert np.shape(got) == np.shape(ref)
+    assert np.array_equal(got, ref)
+    if np.shape(ref) == ():
+        assert isinstance(got, float)
+
+
 class TestDerivativeBits:
     @pytest.mark.parametrize("omega, ell, s", _MEMBER_CASES)
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
     def test_bitwise_equal_to_reference_expressions(self, omega, ell, s, n):
-        # The references are the value call and the second-order jet: u of
-        # the jet is the call's value, the first-order jet and deriv/deriv2
-        # are projections of it, and a scalar is a one-point array.
-        u = RadialOscillatorFamily(OscillatorParams(omega, ell)).eigenstate(s, n)
-        x = _similarity_block(1.2)
-        val, d1, d2 = u.jet(x)
-        assert np.array_equal(val, u(x))
-        first = u.jet(x, 1)
+        # The references are the value call and the second-order jet on a
+        # 1-d array: u of the jet is the call's value, the first-order jet
+        # and deriv/deriv2 are projections of it, and a 2-d block or a
+        # scalar gives the bits of the same points in 1-d, shaped like
+        # itself (a scalar gives a float of shape ()).
+        fam = RadialOscillatorFamily(OscillatorParams(omega, ell))
+        u = fam.eigenstate(s, n)
+        block = _similarity_block(1.2)
+        flat = block.ravel()
+        val, d1, d2 = u.jet(flat)
+        assert np.array_equal(val, u(flat))
+        first = u.jet(flat, 1)
         assert len(first) == 2
         assert np.array_equal(first[0], val) and np.array_equal(first[1], d1)
-        assert np.array_equal(u.deriv(x), d1)
-        assert np.array_equal(u.deriv2(x), d2)
-        point = u.jet(np.array([1.7]))
-        for got, ref in zip(u.jet(1.7), point):
-            assert got.shape == (1,) and np.array_equal(got, ref)
-        assert u(1.7) == u(np.array([1.7]))[0]
-        assert u.deriv(1.7) == point[1][0] and u.deriv2(1.7) == point[2][0]
+        assert np.array_equal(u.deriv(flat), d1)
+        assert np.array_equal(u.deriv2(flat), d2)
+        member = fam.eigenstate_values(s, n, flat)
+        # fpe: zero reaction; case_b: the potential difference in R
+        systems = [build_fpe(fam, s, n, 1.2),
+                   build_case_b(fam, 1.2, n, s + 1, n + 1, s, 1.5, 2.5)]
+        fields = [eval_fields(system, flat, 1.3) for system in systems]
+        k = 1234
+        for x, pick in ((block, lambda a: a.reshape(block.shape)),
+                        (float(flat[k]), lambda a: a[k])):
+            _assert_same_bits(u(x), pick(val))
+            for got, ref in zip(u.jet(x), (val, d1, d2), strict=True):
+                _assert_same_bits(got, pick(ref))
+            for got, ref in zip(u.jet(x, 1), (val, d1), strict=True):
+                _assert_same_bits(got, pick(ref))
+            _assert_same_bits(u.deriv(x), pick(d1))
+            _assert_same_bits(u.deriv2(x), pick(d2))
+            for got, ref in zip(fam.eigenstate_values(s, n, x), member,
+                                strict=True):
+                _assert_same_bits(got, pick(ref))
+            for system, ref_fields in zip(systems, fields):
+                for got, ref in zip(eval_fields(system, x, 1.3), ref_fields,
+                                    strict=True):
+                    _assert_same_bits(got, pick(ref))
 
     @pytest.mark.parametrize("order", [0, 3])
     def test_rejects_other_orders(self, family, order):
@@ -324,14 +354,9 @@ class TestDarbouxPartner:
         class Decay:
             """exp(-x) with its derivatives: the free-particle seed."""
 
-            def __call__(self, x):
-                return np.exp(-x)
-
-            def deriv(self, x):
-                return -np.exp(-x)
-
-            def deriv2(self, x):
-                return np.exp(-x)
+            def jet(self, x, order=2):
+                e = np.exp(-x)
+                return (e, -e, e)[:order + 1]
 
         partner = darboux_partner(lambda x: 0.0, Decay(), 1.3)
         assert abs(partner) <= 1e-6
@@ -341,6 +366,14 @@ class TestDarbouxPartner:
         v0 = lambda x: family.potential(0, x)
         with pytest.raises(ValueError):
             darboux_partner(v0, u1, 5.0)
+
+    def test_reads_one_jet_of_the_seed(self, family, laguerre_calls):
+        # u_2 is positive below its first node (x = 1.8); its jet runs one
+        # recurrence per Laguerre factor and no value call
+        x = np.linspace(0.2, 1.0, 20)
+        darboux_partner(lambda xx: family.potential(0, xx),
+                        family.eigenstate(0, 2), x)
+        assert laguerre_calls == {"laguerre_table": 3, "laguerre_values": 0}
 
 
 class TestDarbouxState:
@@ -376,7 +409,18 @@ class TestDarbouxState:
             assert abs(resid) <= 1e-5 * scale
 
     def test_rejects_seed_zero(self, family):
-        u0 = family.eigenstate(0, 0)
-        seed = lambda x: x - 1.0  # exact zero at x = 1
+        class Line:
+            """x - 1 with its slope: an exact zero at x = 1."""
+
+            def jet(self, x, order=2):
+                return (x - 1.0, 1.0, 0.0)[:order + 1]
+
         with pytest.raises(ValueError):
-            darboux_state(seed, u0, 1.0)
+            darboux_state(Line(), family.eigenstate(0, 0), 1.0)
+
+    def test_reads_one_first_order_jet_per_state(self, family, laguerre_calls):
+        # u_1 (first node at x = 2.24) seeds, u_3 is transformed; each
+        # first-order jet runs two recurrences and no value call
+        darboux_state(family.eigenstate(0, 1), family.eigenstate(0, 3),
+                      np.linspace(0.3, 0.9, 20))
+        assert laguerre_calls == {"laguerre_table": 4, "laguerre_values": 0}
