@@ -31,9 +31,10 @@ def laguerre_table(n, a, y):
 
 def laguerre_values(n, a, y):
     """L_n^a(y) on the float array ``y``: the last entry of
-    :func:`laguerre_table`, an array shaped like ``y`` also for n = 0."""
+    :func:`laguerre_table`, shaped like ``y`` also for n = 0 (a 0-d ``y``
+    gives an ``np.float64`` at every degree)."""
     if n == 0:
-        return np.ones_like(np.asarray(y, dtype=np.float64))
+        return np.ones_like(np.asarray(y, dtype=np.float64))[()]
     return laguerre_table(n, a, y)[n]
 
 

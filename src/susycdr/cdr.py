@@ -26,6 +26,10 @@ Physical fields, with z = x / t^alpha:
     C = t^(alpha - 1) * (2 sigma'(z) + alpha z)
     R = t^(-alpha - 1) * rho(z)
 
+Scale invariance of the equation ties these exponents of t to alpha;
+:class:`CdrSystem` holds alpha and gives them as ``mu``, ``delta``,
+``gamma`` and ``rho_exp``.
+
 Every profile comes from y = A u_y and sigma = B u_sigma, read once per
 call (:meth:`CdrSystem.jets` gives both with two derivatives); convection
 and reaction are assembled from the profile values the caller holds.
@@ -37,7 +41,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .quantum import Eigenstate, RadialOscillatorFamily
-from .similarity import ScalingExponents, exponents_for_class, to_similarity
 
 __all__ = [
     "CaseTag",
@@ -60,6 +63,10 @@ class CaseTag(enum.Enum):
 class CdrSystem:
     """An exactly solvable system: profiles, constants, and provenance.
 
+    ``alpha`` (finite) fixes the similarity variable z = x / t^alpha and,
+    through the class mu = -alpha and scale invariance, every exponent of
+    t: ``mu`` on the solution, ``gamma`` on the convection, ``delta`` on
+    the diffusion and ``rho_exp`` on the reaction.
     ``y_state``/``sigma_state`` are the unscaled eigenstates behind the
     solution and diffusion profiles; ``coeff_a``/``coeff_b`` scale them.
     ``delta_e`` is the energy offset of the diffusion state relative to
@@ -68,25 +75,32 @@ class CdrSystem:
     """
 
     case_tag: CaseTag
-    exponents: ScalingExponents
+    alpha: float
     family: RadialOscillatorFamily
     y_state: Eigenstate
     sigma_state: Eigenstate
     coeff_a: float = 1.0
     coeff_b: float = 1.0
 
-    @property
-    def alpha(self) -> float:
-        return self.exponents.alpha
+    def __post_init__(self):
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be a finite number, got {self.alpha}")
 
     @property
-    def energy(self) -> float:
-        """Schroedinger eigenvalue of the solution profile."""
-        return self.y_state.energy
+    def mu(self) -> float:
+        return -self.alpha
 
     @property
-    def sigma_energy(self) -> float:
-        return self.sigma_state.energy
+    def gamma(self) -> float:
+        return self.alpha - 1.0
+
+    @property
+    def delta(self) -> float:
+        return 2.0 * self.alpha - 1.0
+
+    @property
+    def rho_exp(self) -> float:
+        return self.mu - 1.0
 
     @property
     def delta_e(self) -> float:
@@ -141,7 +155,7 @@ def build_fpe(family: RadialOscillatorFamily, s: int, n: int,
     state = family.eigenstate(s, n)
     return CdrSystem(
         case_tag=CaseTag.FPE,
-        exponents=exponents_for_class(alpha),
+        alpha=float(alpha),
         family=family,
         y_state=state,
         sigma_state=state,
@@ -157,7 +171,7 @@ def build_case_a(family: RadialOscillatorFamily, alpha: float, n: int,
     """
     return CdrSystem(
         case_tag=CaseTag.CASE_A,
-        exponents=exponents_for_class(alpha),
+        alpha=float(alpha),
         family=family,
         y_state=family.eigenstate(0, n),
         sigma_state=family.eigenstate(0, m),
@@ -182,7 +196,7 @@ def build_case_b(family: RadialOscillatorFamily, alpha: float, n: int, s: int,
         raise ValueError("coefficients A and B must be nonzero")
     return CdrSystem(
         case_tag=CaseTag.CASE_B,
-        exponents=exponents_for_class(alpha),
+        alpha=float(alpha),
         family=family,
         y_state=family.eigenstate(s, n),
         sigma_state=family.eigenstate(s_prime, n_prime),
@@ -206,8 +220,9 @@ def eval_fields(system: CdrSystem, x, t, fields: str = "PDCR"):
     x_arr = np.asarray(x, dtype=np.float64)
     if (x_arr <= 0.0).any():
         raise ValueError("fields of the half-line family require x > 0")
-    z = to_similarity(x_arr, t_arr, system.alpha)
-    e = system.exponents
+    if (t_arr <= 0.0).any():
+        raise ValueError(f"similarity variable requires t > 0, got t={t}")
+    z = x_arr / t_arr ** system.alpha
     # R reads y and sigma, except on fpe systems, whose reaction is zero
     r_profiles = "R" in fields and system.case_tag is not CaseTag.FPE
     u_sig = sig = y = None
@@ -223,14 +238,14 @@ def eval_fields(system: CdrSystem, x, t, fields: str = "PDCR"):
         y = system.coeff_a * (u_sig if shared else system.y_state(z))
     out = []
     if "P" in fields:
-        out.append(t_arr ** e.mu * y)
+        out.append(t_arr ** system.mu * y)
     if "D" in fields:
-        out.append(t_arr ** e.delta * sig)
+        out.append(t_arr ** system.delta * sig)
     if "C" in fields:
-        out.append(t_arr ** e.gamma
+        out.append(t_arr ** system.gamma
                    * system.convection(z, (sig, system.coeff_b * u_sig_d)))
     if "R" in fields:
-        out.append(t_arr ** e.rho_exp * system.reaction(z, y, sig))
+        out.append(t_arr ** system.rho_exp * system.reaction(z, y, sig))
     return tuple(out)
 
 

@@ -227,16 +227,16 @@ def _out_dir(text: str) -> Path:
 
 def _cmd_build(config: RunConfig) -> int:
     system = config.build()
-    e = system.exponents
     (n, s), (n_p, s_p) = system.indices
     print(f"case:        {system.case_tag.value}")
     print(f"family:      omega={system.family.omega:g}, ell={system.family.ell:g}")
     print(f"solution:    n={n}, s={s}, A={system.coeff_a:g}, "
-          f"energy={system.energy:g}")
+          f"energy={system.y_state.energy:g}")
     print(f"diffusion:   n'={n_p}, s'={s_p}, B={system.coeff_b:g}, "
-          f"energy={system.sigma_energy:g}")
-    print(f"exponents:   alpha={e.alpha:g}, mu={e.mu:g}, gamma={e.gamma:g}, "
-          f"delta={e.delta:g}, rho_exp={e.rho_exp:g}")
+          f"energy={system.sigma_state.energy:g}")
+    print(f"exponents:   alpha={system.alpha:g}, mu={system.mu:g}, "
+          f"gamma={system.gamma:g}, delta={system.delta:g}, "
+          f"rho_exp={system.rho_exp:g}")
     return 0
 
 
@@ -255,6 +255,37 @@ def _finite_levels(system: CdrSystem, config: RunConfig) -> tuple:
                 f"ell={config.family.ell:g}: the closed form overflows there"
             )
     return xs, ts, levels
+
+
+def _grid_meets_allowed_intervals(system: CdrSystem, config: RunConfig):
+    """ConfigError when [grid.x_min, grid.x_max] misses the classically
+    allowed interval V_s(x) <= E of the solution or the diffusion state: a
+    grid that holds only a state's tail passes every residual row on it.
+
+    In q = omega x^2 / 2 the interval is q = b -+ sqrt(b^2 - L(L+1)), with
+    b = L + 3/2 + 2n and L = ell + s. The discriminant is formed as
+    (2 + 4n) L + (3/2 + 2n)^2 and the lower end as L(L+1) / q+, so L is
+    never squared (it may be near the float limit).
+    """
+    grid, omega = config.grid, config.family.omega
+    for role, state in (("solution", system.y_state),
+                        ("diffusion", system.sigma_state)):
+        big_l, n = config.family.ell + state.s, state.n
+        q_hi = big_l + 1.5 + 2 * n + math.sqrt((2 + 4 * n) * big_l
+                                               + (1.5 + 2 * n) ** 2)
+        q_lo = big_l / q_hi * (big_l + 1.0)
+        x_lo, x_hi = math.sqrt(2.0 * q_lo / omega), math.sqrt(2.0 * q_hi / omega)
+        if grid.x_max < x_lo:
+            field, bound, side = "grid.x_max", grid.x_max, f"below x = {x_lo:.6g}"
+        elif grid.x_min > x_hi:
+            field, bound, side = "grid.x_min", grid.x_min, f"above x = {x_hi:.6g}"
+        else:
+            continue
+        raise ConfigError(
+            f"config field '{field}' = {bound:g} lies {side}: the grid misses "
+            f"the classically allowed interval [{x_lo:.6g}, {x_hi:.6g}] of the "
+            f"{role} state (n={n}, s={state.s}) for omega={omega:g}, "
+            f"ell={config.family.ell:g} and holds only its tail")
 
 
 def _cmd_eval(config: RunConfig, out_dir: Path) -> int:
@@ -339,6 +370,7 @@ def _cmd_verify(config: RunConfig, tol_override: float | None,
                 f"states up to degree {GRAM_MAX_DEGREE}")
     system = config.build()
     _finite_levels(system, config)
+    _grid_meets_allowed_intervals(system, config)
     tol = config.tolerances
     rows = []
     records = {}

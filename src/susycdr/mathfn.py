@@ -6,14 +6,12 @@ these primitives.
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import laguerre_values
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureError",
     "gaussian_tail_cutoff",
     "laguerre",
@@ -25,8 +23,8 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-# Default truncation: the half-line Gaussian weight exp(-omega x^2 / 4)
-# drops below 1e-16 at sqrt(4 ln(1e16) / omega).
+# The half-line Gaussian weight exp(-omega x^2 / 4) drops below 1e-16 at
+# sqrt(4 ln(1e16) / omega).
 _TAIL_LOG = 4.0 * math.log(1e16)
 
 # Subdivision budget for the adaptive scheme.
@@ -42,23 +40,6 @@ def gaussian_tail_cutoff(omega: float, safety: float = 1.0) -> float:
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     return safety * math.sqrt(_TAIL_LOG / omega)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and half-line truncation for :func:`integrate`."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    truncation_x_max: float = gaussian_tail_cutoff(1.0)
-
-    def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "truncation_x_max"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(
-                    f"{name} must be a finite number above 0, got {value}"
-                )
 
 
 def laguerre(n: int, a: float, y):
@@ -127,45 +108,49 @@ def _panel(f, a, b):
     return kronrod, abs(kronrod - gauss)
 
 
-def integrate(f, lower: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Adaptive Gauss-Kronrod integral of ``f`` over [lower, truncation].
+def integrate(f, lower: float, upper: float, tol: float) -> float:
+    """Adaptive Gauss-Kronrod integral of ``f`` over [lower, upper].
 
     Each panel applies the 61-point Kronrod rule and takes its distance
     from the embedded 30-point Gauss rule as the error estimate; the
-    panel with the largest estimate is bisected until the total meets
-    the tolerance. ``f`` is called once per panel with that panel's 61
-    nodes, plus once at the truncation point.
+    panel with the largest estimate is bisected until the total error
+    estimate is at most tol * max(1, |integral|). ``f`` is called once per
+    panel with that panel's 61 nodes, plus once at three tail points.
 
-    Half-line integrals are truncated at ``spec.truncation_x_max``; the
-    integrand must already be negligible there (checked at call time).
-    ``f`` must accept ndarray arguments.
+    ``upper`` truncates a half-line integral: |f| must already be below
+    ``tol`` at upper, 1.25 upper and 1.5 upper (checked at call time, so
+    a zero of f at the cut cannot hide the mass beyond it). ``f`` must
+    accept ndarray arguments.
 
     Raises
     ------
     QuadratureError
         If the subdivision budget is exhausted before the error estimate
-        drops below max(abs_tol, rel_tol * |integral|).
+        meets the tolerance.
     ValueError
-        If ``lower`` is not finite and below the truncation point, or if
-        |f| there is not below abs_tol (the truncation would drop mass).
+        If ``upper`` or ``tol`` is not a finite number above 0, if
+        ``lower`` is not finite and below ``upper``, or if |f| at a tail
+        point is not below ``tol`` (the truncation would drop mass).
     """
-    upper = spec.truncation_x_max
+    for name, value in (("upper", upper), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be a finite number above 0, got {value}")
     if not -math.inf < lower < upper:
         raise ValueError(
             f"lower bound {lower} must be finite and below the truncation point {upper}"
         )
-    tail = float(np.abs(f(np.array([upper])))[0])
-    if not tail < spec.abs_tol:
+    tail = float(np.abs(f(upper * np.array([1.0, 1.25, 1.5]))).max())
+    if not tail < tol:
         raise ValueError(
-            f"integrand magnitude {tail:.3e} at truncation point {upper:.6g} "
-            f"is not below abs_tol {spec.abs_tol:.3e}; increase truncation_x_max"
+            f"integrand magnitude {tail:.3e} at or beyond the truncation point "
+            f"upper = {upper:.6g} is not below tol {tol:.3e}; increase upper"
         )
 
     val, err = _panel(f, lower, upper)
     heap = [(-err, lower, upper, val)]
     total = val
     total_err = err
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
+    while total_err > tol * max(1.0, abs(total)):
         if len(heap) >= _MAX_INTERVALS:
             raise QuadratureError(
                 f"quadrature did not converge: error estimate {total_err:.3e} "
@@ -180,4 +165,3 @@ def integrate(f, lower: float, spec: QuadratureSpec = QuadratureSpec()) -> float
         heapq.heappush(heap, (-err_l, a, mid, val_l))
         heapq.heappush(heap, (-err_r, mid, b, val_r))
     return total
-

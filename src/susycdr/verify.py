@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .cdr import CdrSystem, eval_fields
-from .mathfn import QuadratureSpec, gaussian_tail_cutoff, integrate
+from .mathfn import gaussian_tail_cutoff, integrate
 from .quantum import Eigenstate, RadialOscillatorFamily
 
 __all__ = [
@@ -151,7 +151,7 @@ def ode_residual(system: CdrSystem, z_grid) -> ResidualReport:
     """
     z = np.asarray(z_grid, dtype=np.float64)
     alpha = system.alpha
-    mu = system.exponents.mu
+    mu = system.mu
     (y, y_d, y_dd), sig_jet = system.jets(z)
     sig, sig_d, sig_dd = sig_jet
     tau = system.convection(z, sig_jet)
@@ -181,18 +181,17 @@ def _time_column(ts, exponent):
 def _analytic_terms(system, x, ts):
     """Time derivative, flux divergences, and reaction at the levels ``ts``,
     as (len(ts), len(x)) arrays."""
-    e = system.exponents
-    z = x[None, :] / _time_column(ts, e.alpha)
+    z = x[None, :] / _time_column(ts, system.alpha)
     (y, y_d, y_dd), sig_jet = system.jets(z)
     sig, sig_d, sig_dd = sig_jet
     c = system.convection(z, sig_jet)
     c_d = system.convection(z, sig_jet, order=1)
-    t_mu1 = _time_column(ts, e.mu - 1.0)
-    dt_p = t_mu1 * (e.mu * y - e.alpha * z * y_d)
+    t_mu1 = _time_column(ts, system.mu - 1.0)
+    dt_p = t_mu1 * (system.mu * y - system.alpha * z * y_d)
     dx_cp = t_mu1 * (c_d * y + c * y_d)
     dxx_dp = t_mu1 * (sig_dd * y + 2.0 * sig_d * y_d + sig * y_dd)
-    reac = _time_column(ts, e.rho_exp) * system.reaction(z, y, sig)
-    p = _time_column(ts, e.mu) * y
+    reac = _time_column(ts, system.rho_exp) * system.reaction(z, y, sig)
+    p = _time_column(ts, system.mu) * y
     return p, dt_p, dx_cp, dxx_dp, reac
 
 
@@ -286,12 +285,11 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
     # ell + s the states sit beyond that cut, so it starts no lower than
     # their peak, q = omega x^2 / 2 = ell + s + 1 + 2 n_max, and steps out
     # until every state is below 1e-8 there (every product below 1e-16).
-    # The integrand's own tail check reads these same values.
+    # The integrand's tail check reads one more node array, past the cut.
     cut = max(gaussian_tail_cutoff(family.omega, safety=1.35),
               math.sqrt(2.0 * (family.ell + s + 1.0 + 2.0 * n_max) / family.omega))
     while max(abs(float(v[0])) for v in values(np.array([cut]))) >= 1e-8:
         cut *= 1.05
-    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, truncation_x_max=cut)
 
     gram = np.empty((n_max + 1, n_max + 1))
     for m in range(n_max + 1):
@@ -299,7 +297,7 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
             def integrand(xx):
                 vals = values(xx)
                 return vals[m] * vals[n]
-            gram[m, n] = integrate(integrand, 0.0, spec)
+            gram[m, n] = integrate(integrand, 0.0, cut, 1e-10)
     return gram
 
 

@@ -14,10 +14,9 @@ import pytest
 
 from susycdr import quantum
 from susycdr.cdr import CdrSystem
-from susycdr.similarity import ScalingExponents
 
 
-class _AltReactionExponents(ScalingExponents):
+class _AltReactionSystem(CdrSystem):
     @property
     def rho_exp(self) -> float:
         return 1.0 - self.alpha
@@ -29,23 +28,22 @@ class _AltConvectionSystem(CdrSystem):
         return super().convection(z, (None, *sigma_jet), order)
 
 
+def _double(cls, system):
+    """``system`` rebuilt as an instance of the subclass ``cls``."""
+    return cls(**{f.name: getattr(system, f.name)
+                  for f in dataclasses.fields(CdrSystem)})
+
+
 @pytest.fixture
 def alt_reaction_exponent():
     """Factory: a system's double whose reaction carries t^(1 - alpha)."""
-    def make(system):
-        e = system.exponents
-        return dataclasses.replace(
-            system, exponents=_AltReactionExponents(alpha=e.alpha, mu=e.mu))
-    return make
+    return lambda system: _double(_AltReactionSystem, system)
 
 
 @pytest.fixture
 def alt_convection_profile():
     """Factory: a system's double whose convection is 2 sigma + alpha z."""
-    def make(system):
-        return _AltConvectionSystem(**{
-            f.name: getattr(system, f.name) for f in dataclasses.fields(CdrSystem)})
-    return make
+    return lambda system: _double(_AltConvectionSystem, system)
 
 
 @pytest.fixture

@@ -138,7 +138,6 @@ def test_criterion_7_swap_antisymmetry():
     worst_xch = 0.0
     for name, system in shipped_systems()[1:]:  # swap undefined for fpe
         swapped = swap(system)
-        e = system.exponents
         for t in (0.5, 1.0, 2.0):
             r0 = eval_fields(system, xs, t)[3]
             r1 = eval_fields(swapped, xs, t)[3]
@@ -148,8 +147,8 @@ def test_criterion_7_swap_antisymmetry():
             # (and vice versa) up to the time factors
             p_swap = eval_fields(swapped, xs, t)[0]
             d_orig = eval_fields(system, xs, t)[1]
-            lhs = p_swap * t ** e.alpha
-            rhs = d_orig * t ** (1.0 - 2.0 * e.alpha)
+            lhs = p_swap * t ** system.alpha
+            rhs = d_orig * t ** (1.0 - 2.0 * system.alpha)
             scale = max(float(np.max(np.abs(lhs))), 1e-30)
             worst_xch = max(worst_xch, float(np.max(np.abs(lhs - rhs))) / scale)
     ok = worst_r <= 1e-12 and worst_xch <= 1e-12

@@ -1,5 +1,6 @@
 """System construction and field evaluation tests."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -35,12 +36,29 @@ class TestBuildFpe:
     def test_solution_and_diffusion_share_profile(self, family):
         # same profile, different time exponents: D t^mu == P t^delta
         system = build_fpe(family, 1, 2, 0.75)
-        e = system.exponents
         for t in TS:
             p, d, _, _ = eval_fields(system, XS, t)
             np.testing.assert_allclose(
-                d * t ** e.mu, p * t ** e.delta, rtol=1e-13
+                d * t ** system.mu, p * t ** system.delta, rtol=1e-13
             )
+
+    @pytest.mark.parametrize("alpha,exponents", [
+        (1.0, (0.0, 1.0, -1.0, -2.0)),
+        (0.0, (-1.0, -1.0, 0.0, -1.0)),
+        (0.5, (-0.5, 0.0, -0.5, -1.5)),
+    ], ids=["1.0", "0.0", "0.5"])
+    def test_exponents_follow_alpha(self, family, alpha, exponents):
+        # the class mu = -alpha; scale invariance fixes the rest
+        system = build_fpe(family, 0, 1, alpha)
+        assert (system.gamma, system.delta, system.mu,
+                system.rho_exp) == exponents
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_alpha(self, family, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            build_fpe(family, 0, 1, alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            dataclasses.replace(build_fpe(family, 0, 1, 1.0), alpha=alpha)
 
     def test_pde_residual_small(self, family):
         system = build_fpe(family, 0, 2, 1.0)
@@ -82,7 +100,7 @@ class TestBuildCaseA:
 class TestBuildCaseB:
     def test_fig1_parameters_build(self, fig1):
         assert fig1.case_tag is CaseTag.CASE_B
-        assert fig1.energy == fig1.sigma_energy == 8.0
+        assert fig1.y_state.energy == fig1.sigma_state.energy == 8.0
 
     def test_constraint_violation_rejected(self, family):
         with pytest.raises(ValueError, match="constraint"):
@@ -114,15 +132,55 @@ class TestEvalFields:
         with pytest.raises(ValueError):
             eval_fields(fig1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("t", [0.0, -2.0, np.array([[1.0], [-0.5]])],
+                             ids=["0.0", "-2.0", "levels"])
+    def test_rejects_nonpositive_t(self, fig1, t):
+        with pytest.raises(ValueError, match="t > 0"):
+            eval_fields(fig1, XS, t)
+
+    @staticmethod
+    def _similarity_variable(monkeypatch, system, x, t):
+        """The z at which a P-only call evaluates the solution state."""
+        seen = []
+        state_call = Eigenstate.__call__
+
+        def spy(state, z):
+            seen.append(z)
+            return state_call(state, z)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Eigenstate, "__call__", spy)
+            eval_fields(system, x, t, "P")
+        (z,) = seen
+        return z
+
+    @pytest.mark.parametrize("x,t,alpha,z", [(2.0, 4.0, 0.5, 1.0),
+                                             (3.0, 1.0, 0.77, 3.0),
+                                             (3.0, 8.0, 1.0 / 3.0, 1.5)],
+                             ids=["z=1", "t=1", "z=1.5"])
+    def test_similarity_variable(self, monkeypatch, fig1, x, t, alpha, z):
+        system = dataclasses.replace(fig1, alpha=alpha)
+        got = self._similarity_variable(monkeypatch, system, x, t)
+        assert got == pytest.approx(z)
+
+    def test_similarity_variable_round_trip(self, monkeypatch, fig1):
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            z = rng.uniform(0.1, 10.0)
+            t = rng.uniform(0.1, 10.0)
+            system = dataclasses.replace(fig1, alpha=rng.uniform(-2.0, 2.0))
+            back = self._similarity_variable(
+                monkeypatch, system, z * t ** system.alpha, t)
+            assert abs(back - z) <= 1e-14 * abs(z)
+
     def test_scale_covariance(self, fig1):
-        e = fig1.exponents
         eps = 1.7
         p0, d0, c0, r0 = eval_fields(fig1, XS, 1.3)
         p1, d1, c1, r1 = eval_fields(fig1, eps * XS, eps * 1.3)
-        np.testing.assert_allclose(p1, eps ** e.mu * p0, rtol=1e-12)
-        np.testing.assert_allclose(d1, eps ** e.delta * d0, rtol=1e-12)
-        np.testing.assert_allclose(c1, eps ** e.gamma * c0, rtol=1e-12)
-        np.testing.assert_allclose(r1, eps ** e.rho_exp * r0, rtol=1e-12)
+        np.testing.assert_allclose(p1, eps ** fig1.mu * p0, rtol=1e-12)
+        np.testing.assert_allclose(d1, eps ** fig1.delta * d0, rtol=1e-12)
+        np.testing.assert_allclose(c1, eps ** fig1.gamma * c0, rtol=1e-12)
+        np.testing.assert_allclose(r1, eps ** fig1.rho_exp * r0, rtol=1e-12)
 
     def test_alt_forms_coincide_with_exact_at_unit_time(
             self, fig1, alt_reaction_exponent):
@@ -244,7 +302,7 @@ class TestFieldSelection:
         assert laguerre_calls == {"laguerre_table": 2, "laguerre_values": 0}
         z = x / t ** system.alpha
         u = system.y_state(z)
-        assert np.array_equal(p, t ** system.exponents.mu * (system.coeff_a * u))
+        assert np.array_equal(p, t ** system.mu * (system.coeff_a * u))
 
     @pytest.mark.parametrize("fields", ["", "X", "RP", "PP", "pd"])
     def test_bad_selection_rejected(self, fig1, fields):
@@ -284,12 +342,11 @@ class TestSwap:
 
     def test_solution_takes_over_diffusion_profile(self, fig1):
         swapped = swap(fig1)
-        e = fig1.exponents
         for t in TS:
             p_swap = eval_fields(swapped, XS, t)[0]
             d_orig = eval_fields(fig1, XS, t)[1]
             np.testing.assert_allclose(
-                p_swap * t ** e.alpha, d_orig * t ** (1.0 - 2.0 * e.alpha),
+                p_swap * t ** fig1.alpha, d_orig * t ** (1.0 - 2.0 * fig1.alpha),
                 rtol=1e-13,
             )
 
@@ -327,8 +384,8 @@ class TestReducedEquation:
     def test_schrodinger_form_shares_energy(self, family):
         system = build_case_b(family, 1.0, 3, 1, 1, 3, 1.0, 3.0)
         z = np.linspace(0.2, 8.0, 300)
-        e_shared = system.energy
-        assert system.sigma_energy == e_shared
+        e_shared = system.y_state.energy
+        assert system.sigma_state.energy == e_shared
         (y, _, y_dd), (sig, _, sig_dd) = system.jets(z)
         resid_y = -y_dd + (system.family.potential(1, z) - e_shared) * y
         resid_s = -sig_dd + (system.family.potential(3, z) - e_shared) * sig

@@ -27,7 +27,7 @@ class TestParseConfig:
     def test_default_config_is_valid(self):
         config = parse_config(DEFAULT_CONFIG)
         system = config.build()
-        assert system.energy == 8.0
+        assert system.y_state.energy == 8.0
 
     def test_missing_field_named(self):
         bad = {k: v for k, v in DEFAULT_CONFIG.items() if k != "omega"}
@@ -316,28 +316,38 @@ class TestVerifyCommand:
         assert run(["--tol", "1e-20", "verify"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("omega,ell,code", [(4.0, 285.0, 0),
-                                                (1.0, 300.0, 1)],
+    @pytest.mark.parametrize("omega,ell,x_lo", [(4.0, 285.0, "10.8819"),
+                                                (1.0, 300.0, "22.3809")],
                              ids=["4.0-285.0", "1.0-300.0"])
-    def test_large_ell_outcome(self, tmp_path, omega, ell, code):
+    def test_large_ell_outcome(self, tmp_path, capsys, omega, ell, x_lo):
         # The states peak near x = 12 at (4, 285) and x = 24.5 at (1, 300),
-        # beyond the grid's x_max = 8. The residual rows and the Gram pass on
-        # both. The CN errors converge at a ratio of 3.50 at (4, 285) (errors
-        # about 1e-16) and 3.00 at (1, 300), where the grid holds only the
-        # state's far tail (errors about 1e-88), so that stepper row fails.
+        # beyond the grid's x_max = 8, which holds only their tails: every
+        # residual row would pass on values near 1e-70 of the peak. The
+        # classically allowed interval starts at x_lo, so verify refuses.
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"omega": omega, "ell": ell, "alpha": 1.0,
                                       "case": "fpe", "n": 2, "s": 0}))
         out = tmp_path / "report"
         with np.errstate(over="raise", invalid="raise"):
             assert run(["--config", str(config), "--out", str(out),
-                        "verify"]) == code
-        data = json.loads((out / "verify_report.json").read_text())
-        assert data["passed"] is (code == 0)
-        assert all(rep["max_rel"] <= 1e-12
-                   for rep in data["residuals"].values())
-        assert data["orthonormality_deviation"] <= 1e-12
-        assert (3.5 <= data["evolve"]["error_ratio"] <= 4.5) is (code == 0)
+                        "verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"config field 'grid.x_max' = 8 lies below x = {x_lo}"
+                in captured.err)
+        assert "solution state (n=2, s=0)" in captured.err
+        assert f"omega={omega:g}, ell={ell:g}" in captured.err
+        assert not out.exists()
+
+    def test_grid_above_the_allowed_interval_exits_2(self, tmp_path, capsys):
+        # u_2 of (omega, ell) = (1, 1) is classically allowed on
+        # [0.558, 5.07]; a grid from x = 7.5 on holds only its tail
+        config = write_config(tmp_path, case="fpe", n=2, s=0,
+                              grid={"x_min": 7.5, "x_max": 9.0})
+        assert run(["--config", str(config), "verify"]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'grid.x_min' = 7.5 lies above x = 5.06839" in err
+        assert "solution state (n=2, s=0) for omega=1, ell=1" in err
 
     def test_json_report_written_when_out_given(self, tmp_path):
         out = tmp_path / "report"

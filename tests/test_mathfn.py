@@ -18,8 +18,7 @@ import pytest
 from susycdr._kernels import laguerre_values
 from susycdr.mathfn import (_GAUSS_WEIGHTS, _KRONROD_NODES,
                             _KRONROD_WEIGHTS, QuadratureError,
-                            QuadratureSpec, gaussian_tail_cutoff, integrate,
-                            laguerre)
+                            gaussian_tail_cutoff, integrate, laguerre)
 
 mpmath.mp.dps = 40
 
@@ -53,6 +52,11 @@ def laguerre_series_mp(n, a, y):
 class TestLaguerre:
     def test_degree_zero_is_one(self):
         assert laguerre(0, 0.5, 3.7) == 1.0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_scalar_argument_gives_float64(self, n):
+        # degree 0 is the one degree not taken from the recurrence
+        assert type(laguerre(n, 0.5, 3.7)) is np.float64
 
     def test_degree_one_closed_form(self):
         assert laguerre(1, 0.5, 2.0) == pytest.approx(-0.5, abs=1e-15)
@@ -138,58 +142,63 @@ class TestKronrodRule:
 
 
 class TestIntegrate:
+    TOL = 1e-12
+
     def test_exponential(self):
-        spec = QuadratureSpec(truncation_x_max=50.0)
-        val = integrate(lambda x: np.exp(-x), 0.0, spec)
+        val = integrate(lambda x: np.exp(-x), 0.0, 50.0, self.TOL)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_x_gaussian(self):
-        spec = QuadratureSpec(truncation_x_max=10.0)
-        val = integrate(lambda x: x * np.exp(-x * x), 0.0, spec)
+        val = integrate(lambda x: x * np.exp(-x * x), 0.0, 10.0, self.TOL)
         assert val == pytest.approx(0.5, abs=1e-10)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 6])
     def test_polynomial_times_gaussian(self, k):
         # integral of x^k exp(-x^2) over (0, inf) = Gamma((k+1)/2) / 2
-        spec = QuadratureSpec(truncation_x_max=12.0)
-        val = integrate(lambda x: x ** k * np.exp(-x * x), 0.0, spec)
+        val = integrate(lambda x: x ** k * np.exp(-x * x), 0.0, 12.0, self.TOL)
         ref = math.exp(math.lgamma((k + 1) / 2.0)) / 2.0
-        assert abs(val - ref) <= spec.abs_tol * 100 + 1e-12 * abs(ref)
+        assert abs(val - ref) <= self.TOL * 100 + 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("lower", [math.nan, -math.inf])
     def test_rejects_non_finite_lower(self, lower):
         # both compare False against the truncation point and used to
         # return nan
-        spec = QuadratureSpec(truncation_x_max=50.0)
         with pytest.raises(ValueError, match="lower"):
-            integrate(lambda x: np.exp(-x), lower, spec)
+            integrate(lambda x: np.exp(-x), lower, 50.0, self.TOL)
 
     def test_tail_check_rejects_fat_truncation(self):
-        spec = QuadratureSpec(truncation_x_max=3.0)
         with pytest.raises(ValueError, match="truncation"):
-            integrate(lambda x: np.exp(-x), 0.0, spec)
+            integrate(lambda x: np.exp(-x), 0.0, 3.0, self.TOL)
+
+    def test_tail_check_sees_past_a_zero_at_the_cut(self):
+        # f vanishes at the cut x = 12, but about 8 sqrt(pi) = 14.2 of its
+        # mass lies beyond; a check at the cut alone would return -6.1e-31
+        def f(x):
+            return (x - 12.0) * np.exp(-(x - 20.0) ** 2)
+
+        with pytest.raises(ValueError, match="truncation"):
+            integrate(f, 0.0, 12.0, self.TOL)
 
     def test_nonconvergence_reported(self):
         # resolving this oscillation needs ~2e5 panels, far beyond the
-        # subdivision budget; the failure must be reported, not silent
-        spec = QuadratureSpec(truncation_x_max=2.0)
-
+        # subdivision budget; the failure must be reported, not silent.
+        # The factor vanishes from the cut x = 2 on, so the tail check passes.
         def wild(x):
             x = np.asarray(x)
-            return np.cos(1e6 * x) * (2.0 - x)
+            return np.cos(1e6 * x) * np.maximum(2.0 - x, 0.0)
 
         with pytest.raises(QuadratureError):
-            integrate(wild, 0.0, spec)
+            integrate(wild, 0.0, 2.0, self.TOL)
 
-    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol",
-                                       "truncation_x_max"])
+    @pytest.mark.parametrize("name", ["upper", "tol"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf,
                                        math.nan])
-    def test_invalid_spec(self, field, value):
-        # inf tolerances would accept one coarse panel, an inf truncation
+    def test_invalid_upper_or_tol(self, name, value):
+        # an inf tolerance would accept one coarse panel, an inf truncation
         # point would put inf among the nodes
-        with pytest.raises(ValueError, match=field):
-            QuadratureSpec(**{field: value})
+        args = {"upper": 50.0, "tol": self.TOL, name: value}
+        with pytest.raises(ValueError, match=name):
+            integrate(lambda x: np.exp(-x), 0.0, args["upper"], args["tol"])
 
     def test_gaussian_tail_cutoff(self):
         for omega in (0.5, 1.0, 2.0):

@@ -15,7 +15,7 @@ import pytest
 from scipy.special import roots_genlaguerre
 
 from susycdr.cdr import build_case_b, build_fpe, eval_fields
-from susycdr.mathfn import _KRONROD_NODES, QuadratureSpec, integrate
+from susycdr.mathfn import _KRONROD_NODES, gaussian_tail_cutoff, integrate
 from susycdr.quantum import (DEFAULT_X_MIN, Eigenstate, OscillatorParams,
                              RadialOscillatorFamily, base_potential,
                              darboux_partner, darboux_state)
@@ -128,7 +128,8 @@ class TestEigenfunction:
             q = 0.5 * x * x
             return q * np.exp(-0.5 * q)
 
-        norm_sq = integrate(lambda x: shape(x) ** 2, 0.0, QuadratureSpec())
+        norm_sq = integrate(lambda x: shape(x) ** 2, 0.0,
+                            gaussian_tail_cutoff(1.0), 1e-12)
         oracle_val = shape(1.0) / math.sqrt(norm_sq)
         assert oracle_val == pytest.approx(0.40163891288830006, abs=1e-12)
         assert u(1.0) == pytest.approx(oracle_val, abs=1e-10)
@@ -136,8 +137,7 @@ class TestEigenfunction:
     def test_unit_norm(self, family):
         for s, n in [(0, 0), (0, 3), (2, 1)]:
             u = family.eigenstate(s, n)
-            val = integrate(lambda x: u(x) ** 2, 0.0,
-                            QuadratureSpec(truncation_x_max=16.0))
+            val = integrate(lambda x: u(x) ** 2, 0.0, 16.0, 1e-12)
             assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_interior_zero_count(self, family):
@@ -187,9 +187,7 @@ class TestEigenfunction:
     def test_orthogonality_pair(self, family):
         u2 = family.eigenstate(0, 2)
         u4 = family.eigenstate(0, 4)
-        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10,
-                              truncation_x_max=16.0)
-        val = integrate(lambda x: u2(x) * u4(x), 0.0, spec)
+        val = integrate(lambda x: u2(x) * u4(x), 0.0, 16.0, 1e-10)
         assert abs(val) <= 1e-8
 
     def test_rejects_negative_x(self, family):

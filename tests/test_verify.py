@@ -14,7 +14,7 @@ from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 from susycdr import _kernels, quantum, verify
 from susycdr.cdr import (CdrSystem, build_case_a, build_case_b, build_fpe,
                          eval_fields, swap)
-from susycdr.mathfn import QuadratureSpec, gaussian_tail_cutoff, integrate
+from susycdr.mathfn import gaussian_tail_cutoff, integrate
 from susycdr.quantum import (DEFAULT_X_MIN, OscillatorParams,
                              RadialOscillatorFamily)
 from susycdr.verify import (GridSpec, evolve_oracle, node_count, ode_residual,
@@ -133,19 +133,18 @@ class TestOdeResidual:
 
 def _per_level_analytic_terms(system, x, t):
     """Reference: the analytic PDE terms at one level, Python-float powers of t."""
-    e = system.exponents
-    z = x / t ** e.alpha
+    z = x / t ** system.alpha
     (y, y_d, y_dd), sig_jet = system.jets(z)
     sig, sig_d, sig_dd = sig_jet
     c = system.convection(z, sig_jet)
     c_d = system.convection(z, sig_jet, order=1)
-    t_mu1 = t ** (e.mu - 1.0)
+    t_mu1 = t ** (system.mu - 1.0)
     return (
-        t ** e.mu * y,
-        t_mu1 * (e.mu * y - e.alpha * z * y_d),
+        t ** system.mu * y,
+        t_mu1 * (system.mu * y - system.alpha * z * y_d),
         t_mu1 * (c_d * y + c * y_d),
         t_mu1 * (sig_dd * y + 2.0 * sig_d * y_d + sig * y_dd),
-        t ** e.rho_exp * system.reaction(z, y, sig),
+        t ** system.rho_exp * system.reaction(z, y, sig),
     )
 
 
@@ -325,12 +324,10 @@ class TestOrthonormality:
     @staticmethod
     def _per_entry_gram(family, s, n_max):
         """Each entry's quadrature evaluating both states itself."""
-        spec = QuadratureSpec(
-            abs_tol=1e-10, rel_tol=1e-10,
-            truncation_x_max=gaussian_tail_cutoff(family.omega, safety=1.35))
+        cut = gaussian_tail_cutoff(family.omega, safety=1.35)
         states = [family.eigenstate(s, n) for n in range(n_max + 1)]
         return np.array([[integrate(lambda xx: states[m](xx) * states[n](xx),
-                                    0.0, spec)
+                                    0.0, cut, 1e-10)
                           for n in range(n_max + 1)]
                          for m in range(n_max + 1)])
 
@@ -362,9 +359,10 @@ class TestOrthonormality:
         family = RadialOscillatorFamily(OscillatorParams(1.1, 1.2))
         orthonormality_matrix(family, s=0, n_max=8)
         assert counts["integrate"] == 81
-        # all nine states evaluated once per distinct node array: the tail
-        # check's point, the whole interval and its two halves
-        assert counts["state"] == 4
+        # all nine states evaluated once per distinct node array: the cut's
+        # point, the tail check's three points, the whole interval and its
+        # two halves
+        assert counts["state"] == 5
 
     @pytest.mark.parametrize(
         "omega, ell, s",
