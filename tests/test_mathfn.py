@@ -190,15 +190,23 @@ class TestIntegrate:
         with pytest.raises(QuadratureError):
             integrate(wild, 0.0, 2.0, self.TOL)
 
-    @pytest.mark.parametrize("name", ["upper", "tol"])
+    # field -> (argument, scale of the integrand): tol is the absolute
+    # tolerance while |integral| <= 1 and the relative one above it, upper
+    # is the truncation point of the half line
+    ROLES = {"abs_tol": ("tol", 1.0), "rel_tol": ("tol", 1e3),
+             "truncation_x_max": ("upper", 1.0)}
+
+    @pytest.mark.parametrize("field", list(ROLES))
     @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf,
                                        math.nan])
-    def test_invalid_upper_or_tol(self, name, value):
+    def test_invalid_spec(self, field, value):
         # an inf tolerance would accept one coarse panel, an inf truncation
         # point would put inf among the nodes
+        name, scale = self.ROLES[field]
         args = {"upper": 50.0, "tol": self.TOL, name: value}
         with pytest.raises(ValueError, match=name):
-            integrate(lambda x: np.exp(-x), 0.0, args["upper"], args["tol"])
+            integrate(lambda x: scale * np.exp(-x), 0.0, args["upper"],
+                      args["tol"])
 
     def test_gaussian_tail_cutoff(self):
         for omega in (0.5, 1.0, 2.0):
