@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +29,7 @@ import numpy as np
 from .cdr import (CaseTag, CdrSystem, build_case_a, build_case_b, build_fpe,
                   eval_fields, swap)
 from .quantum import OscillatorParams, RadialOscillatorFamily
-from .verify import (GRAM_MAX_DEGREE, GridSpec, ResidualReport, evolve_oracle,
-                     ode_residual, orthonormality_matrix, pde_residual,
-                     positive_diffusion_x_max, schrodinger_residual)
+from .verify import GRAM_MAX_DEGREE, GridSpec, ResidualReport, run_suite
 
 __all__ = ["main", "run", "RunConfig", "DEFAULT_CONFIG"]
 
@@ -46,10 +44,7 @@ DEFAULT_CONFIG = {
     "s_prime": 3,
     "A": 1.0,
     "B": 3.0,
-    "grid": {
-        "x_min": 0.2, "x_max": 8.0, "nx": 400,
-        "t_min": 0.5, "t_max": 2.5, "nt": 4,
-    },
+    "grid": asdict(GridSpec()),
     "tolerances": {
         "schrodinger_rel": 1e-8,
         "ode_abs": 1e-8,
@@ -181,6 +176,11 @@ def parse_config(data: dict) -> RunConfig:
         key: _require(tol_data, key, float, default, "tolerances")
         for key, default in DEFAULT_CONFIG["tolerances"].items()
     }
+    for key, value in tolerances.items():
+        low = tolerances["evolve_ratio_lo"] if key == "evolve_ratio_hi" else 0.0
+        if not value > low:
+            raise ConfigError(f"config field 'tolerances.{key}' must be above "
+                              f"{low:g}, got {value:g}")
     return RunConfig(
         family=family, case=case, alpha=alpha, indices=indices,
         coeff_a=coeff_a, coeff_b=coeff_b, grid=grid, tolerances=tolerances,
@@ -257,37 +257,6 @@ def _finite_levels(system: CdrSystem, config: RunConfig) -> tuple:
     return xs, ts, levels
 
 
-def _grid_meets_allowed_intervals(system: CdrSystem, config: RunConfig):
-    """ConfigError when [grid.x_min, grid.x_max] misses the classically
-    allowed interval V_s(x) <= E of the solution or the diffusion state: a
-    grid that holds only a state's tail passes every residual row on it.
-
-    In q = omega x^2 / 2 the interval is q = b -+ sqrt(b^2 - L(L+1)), with
-    b = L + 3/2 + 2n and L = ell + s. The discriminant is formed as
-    (2 + 4n) L + (3/2 + 2n)^2 and the lower end as L(L+1) / q+, so L is
-    never squared (it may be near the float limit).
-    """
-    grid, omega = config.grid, config.family.omega
-    for role, state in (("solution", system.y_state),
-                        ("diffusion", system.sigma_state)):
-        big_l, n = config.family.ell + state.s, state.n
-        q_hi = big_l + 1.5 + 2 * n + math.sqrt((2 + 4 * n) * big_l
-                                               + (1.5 + 2 * n) ** 2)
-        q_lo = big_l / q_hi * (big_l + 1.0)
-        x_lo, x_hi = math.sqrt(2.0 * q_lo / omega), math.sqrt(2.0 * q_hi / omega)
-        if grid.x_max < x_lo:
-            field, bound, side = "grid.x_max", grid.x_max, f"below x = {x_lo:.6g}"
-        elif grid.x_min > x_hi:
-            field, bound, side = "grid.x_min", grid.x_min, f"above x = {x_hi:.6g}"
-        else:
-            continue
-        raise ConfigError(
-            f"config field '{field}' = {bound:g} lies {side}: the grid misses "
-            f"the classically allowed interval [{x_lo:.6g}, {x_hi:.6g}] of the "
-            f"{role} state (n={n}, s={state.s}) for omega={omega:g}, "
-            f"ell={config.family.ell:g} and holds only its tail")
-
-
 def _cmd_eval(config: RunConfig, out_dir: Path) -> int:
     xs, ts, levels = _finite_levels(config.build(), config)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -302,64 +271,6 @@ def _cmd_eval(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _gram_deviation(system: CdrSystem, config: RunConfig) -> float:
-    """Largest |G - I| over the Gram matrices of both profiles' chain
-    members, each taken up to the highest degree configured on that member
-    (at least 4)."""
-    n_max = {}
-    for state in (system.y_state, system.sigma_state):
-        n_max[state.s] = max(n_max.get(state.s, 4), state.n)
-    worst = 0.0
-    for s_idx, top in n_max.items():
-        gram = orthonormality_matrix(config.family, s_idx, n_max=top)
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(top + 1)))))
-    return worst
-
-
-def _evolve_record(system: CdrSystem, config: RunConfig) -> dict:
-    """CN errors at two resolutions and their ratio (about 4 for 2nd order)."""
-    grid = config.grid
-    t_min = 1.0
-    # restrict the stepper to the region where the equation is parabolic
-    x_hi = positive_diffusion_x_max(system, t_min=t_min, x_max=grid.x_max)
-    if not grid.x_min < x_hi:
-        raise ConfigError(
-            f"config field 'grid.x_min' = {grid.x_min:g} must lie below "
-            f"x = {x_hi:.6g}, 5 % inside the first node of the diffusion "
-            f"coefficient D at t = {t_min:g}: time stepping needs D > 0")
-    report = evolve_oracle(system, GridSpec(
-        x_min=grid.x_min, x_max=x_hi, nx=200, t_min=t_min, t_max=2.0, nt=100))
-    return {
-        "entries": [list(entry) for entry in report.entries],
-        "error_ratio": report.ratios[0],
-    }
-
-
-# One row per oracle: (report key, label, run(system, config) -> record,
-# metric(record) -> value, tolerance key (``--tol`` overrides these) or
-# (low, high) keys). Each run looks its oracle up by module name when called,
-# so a rebound name (as in perfbench/spans.py) takes effect.
-_VERIFY_ROWS = (
-    ("schrodinger_solution", "schrodinger residual (solution)",
-     lambda system, config: schrodinger_residual(system.y_state, config.grid),
-     lambda rep: rep.max_rel, "schrodinger_rel"),
-    ("schrodinger_diffusion", "schrodinger residual (diffusion)",
-     lambda system, config: schrodinger_residual(system.sigma_state, config.grid),
-     lambda rep: rep.max_rel, "schrodinger_rel"),
-    ("reduced_equation", "reduced-equation residual",
-     lambda system, config: ode_residual(system, config.grid.x_points()),
-     lambda rep: rep.max_abs, "ode_abs"),
-    ("pde_analytic", "pde residual (analytic)",
-     lambda system, config: pde_residual(system, config.grid, mode="analytic"),
-     lambda rep: rep.max_rel, "pde_rel"),
-    ("orthonormality_deviation", "orthonormality deviation",
-     _gram_deviation, lambda worst: worst, "orthonormality"),
-    ("evolve", "time-stepper error ratio (2x refinement)",
-     _evolve_record, lambda record: record["error_ratio"],
-     ("evolve_ratio_lo", "evolve_ratio_hi")),
-)
-
-
 def _cmd_verify(config: RunConfig, tol_override: float | None,
                 out_dir: Path | None) -> int:
     for key in ("n", "m", "n_prime"):
@@ -370,38 +281,23 @@ def _cmd_verify(config: RunConfig, tol_override: float | None,
                 f"states up to degree {GRAM_MAX_DEGREE}")
     system = config.build()
     _finite_levels(system, config)
-    _grid_meets_allowed_intervals(system, config)
-    tol = config.tolerances
-    rows = []
-    records = {}
-    for key, label, run_oracle, metric, tol_key in _VERIFY_ROWS:
-        record = run_oracle(system, config)
-        records[key] = record
-        value = metric(record)
-        if isinstance(tol_key, tuple):
-            threshold = (tol[tol_key[0]], tol[tol_key[1]])
-            ok = threshold[0] <= value <= threshold[1]
-        else:
-            threshold = tol[tol_key] if tol_override is None else tol_override
-            ok = value <= threshold
-        rows.append((label, value, threshold, ok))
+    rows = run_suite(system, config.grid, config.tolerances, tol_override)
 
-    width = max(len(r[0]) for r in rows) + 2
-    all_ok = True
-    for name, value, threshold, ok in rows:
-        status = "PASS" if ok else "FAIL"
-        all_ok &= ok
+    width = max(len(row[1]) for row in rows) + 2
+    for _, name, _, value, threshold, ok in rows:
         if isinstance(threshold, tuple):
             bound = f"in [{threshold[0]:g}, {threshold[1]:g}]"
         else:
             bound = f"<= {threshold:g}"
-        print(f"{name:<{width}} {value:12.3e}  {bound:<18} {status}")
+        print(f"{name:<{width}} {value:12.3e}  {bound:<18} "
+              f"{'PASS' if ok else 'FAIL'}")
+    all_ok = all(row[-1] for row in rows)
     print("verification:", "PASS" if all_ok else "FAIL")
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        payload = {"passed": bool(all_ok), "residuals": {}}
-        for key, record in records.items():
+        payload = {"passed": all_ok, "residuals": {}}
+        for key, _, record, *_ in rows:
             if isinstance(record, ResidualReport):
                 payload["residuals"][key] = record.as_dict()
             else:

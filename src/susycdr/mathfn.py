@@ -129,8 +129,9 @@ def integrate(f, lower: float, upper: float, tol: float) -> float:
         meets the tolerance.
     ValueError
         If ``upper`` or ``tol`` is not a finite number above 0, if
-        ``lower`` is not finite and below ``upper``, or if |f| at a tail
-        point is not below ``tol`` (the truncation would drop mass).
+        ``lower`` is not finite and below ``upper``, if |f| at a tail
+        point is not below ``tol`` (the truncation would drop mass), or if
+        f is not finite at a node in [lower, upper].
     """
     for name, value in (("upper", upper), ("tol", tol)):
         if not (math.isfinite(value) and value > 0.0):
@@ -164,4 +165,7 @@ def integrate(f, lower: float, upper: float, tol: float) -> float:
         total_err += err_l + err_r - (-neg_err)
         heapq.heappush(heap, (-err_l, a, mid, val_l))
         heapq.heappush(heap, (-err_r, mid, b, val_r))
+    # A NaN or inf of f makes the error estimate NaN or inf for good.
+    if not math.isfinite(total_err):
+        raise ValueError(f"integrand is not finite on [{lower:.6g}, {upper:.6g}]")
     return total

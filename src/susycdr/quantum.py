@@ -185,7 +185,8 @@ class Eigenstate:
     member. :meth:`jet` gives (u, u') or (u, u', u'') in closed form for
     x > 0 from one evaluation, with u equal to the call's value bit for
     bit; ``deriv``/``deriv2`` are its u' and u''.
-    :meth:`nodes` gives the n zeros of u from the roots of L_n^a.
+    :meth:`nodes` gives the n zeros of u from the roots of L_n^a, and
+    :meth:`turning_points` the ends of the interval where V_s <= E.
     """
 
     def __init__(self, family: RadialOscillatorFamily, s: int, n: int):
@@ -243,6 +244,18 @@ class Eigenstate:
         jacobi = (np.diag(2.0 * k + self._lag_a + 1.0)
                   + np.diag(off, 1) + np.diag(off, -1))
         return np.sqrt(2.0 * np.linalg.eigvalsh(jacobi) / self._omega)
+
+    def turning_points(self) -> tuple:
+        """(x_lo, x_hi), the ends of the allowed interval V_s(x) <= E:
+        q = b -+ sqrt(b^2 - L(L+1)) in q = omega x^2 / 2, b = L + 3/2 + 2n.
+        b^2 - L(L+1) is formed as (2 + 4n) L + (3/2 + 2n)^2 and q- as
+        L(L+1) / q+, so L, maybe near the float limit, is never squared."""
+        big_l, n = self.family.ell + self.s, self.n
+        q_hi = big_l + 1.5 + 2 * n + math.sqrt((2 + 4 * n) * big_l
+                                               + (1.5 + 2 * n) ** 2)
+        q_lo = big_l / q_hi * (big_l + 1.0)
+        return (math.sqrt(2.0 * q_lo / self._omega),
+                math.sqrt(2.0 * q_hi / self._omega))
 
     def deriv(self, x):
         return self.jet(x, 1)[1]

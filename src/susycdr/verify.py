@@ -29,6 +29,8 @@ __all__ = [
     "node_count",
     "positive_diffusion_x_max",
     "evolve_oracle",
+    "evolve_window",
+    "run_suite",
     "GRAM_MAX_DEGREE",
 ]
 
@@ -49,7 +51,7 @@ class GridSpec:
     nx: int = 400
     t_min: float = 0.5
     t_max: float = 2.5
-    nt: int = 200
+    nt: int = 4
 
     def __post_init__(self):
         if not 0.0 < self.x_min < self.x_max:
@@ -341,11 +343,11 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
     # Widened cut: the polynomial factor in front of the Gaussian
     # pushes the negligible-tail point outward for higher levels. At large
     # ell + s the states sit beyond that cut, so it starts no lower than
-    # their peak, q = omega x^2 / 2 = ell + s + 1 + 2 n_max, and steps out
-    # until every state is below 1e-8 there (every product below 1e-16).
-    # The integrand's tail check reads one more node array, past the cut.
+    # the outer turning point of u_{n_max}, and steps out until every
+    # state is below 1e-8 there (every product below 1e-16). The
+    # integrand's tail check reads one more node array, past the cut.
     cut = max(gaussian_tail_cutoff(family.omega, safety=1.35),
-              math.sqrt(2.0 * (family.ell + s + 1.0 + 2.0 * n_max) / family.omega))
+              family.eigenstate(s, n_max).turning_points()[1])
     while max(abs(float(v[0])) for v in values(np.array([cut]))) >= 1e-8:
         cut *= 1.05
 
@@ -375,34 +377,31 @@ def node_count(state, interval, samples: int = 4096) -> int:
     return int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0))
 
 
-def positive_diffusion_x_max(system: CdrSystem, t_min: float,
-                             x_max: float) -> float:
-    """Largest x below ``x_max`` with D(x, t) > 0 for every t >= t_min.
+def positive_diffusion_x_max(system: CdrSystem, x_max: float) -> float:
+    """Largest x below ``x_max`` with D(x, t) > 0 for every t >= 1, where
+    the time-stepper window (:func:`evolve_window`) starts.
 
     Time stepping is only well posed where the diffusion coefficient is
-    positive; a diffusion profile with nodes turns the equation
-    backward-parabolic beyond its first zero, and no initial-value scheme
-    converges there. The first zero z* of the diffusion profile bounds
-    the usable region by x < z* * t_min^alpha (for alpha > 0); the bound
-    returned keeps a 5 % gap from the degenerate boundary. z* is the
-    smallest root of the diffusion state's Laguerre polynomial
-    (:meth:`Eigenstate.nodes`). ``t_min`` and ``x_max`` must be finite
-    numbers above 0. D = B u_sigma and u_sigma > 0 next to x = 0, so a B
-    that is not above 0 leaves no such x and raises ValueError naming B.
+    positive; beyond the first zero z* of the diffusion profile the
+    equation is backward-parabolic and no initial-value scheme converges.
+    For t >= 1 and alpha > 0 that zero lies at x = z* t^alpha >= z*; the
+    bound returned keeps a 5 % gap from it. z* is the smallest root of
+    the diffusion state's Laguerre polynomial (:meth:`Eigenstate.nodes`).
+    ``x_max`` must be a finite number above 0. D = B u_sigma and
+    u_sigma > 0 next to x = 0, so a B that is not above 0 leaves no such
+    x and raises ValueError naming B.
     """
-    alpha = system.alpha
-    if alpha <= 0:
+    if system.alpha <= 0:
         raise ValueError("positive_diffusion_x_max requires alpha > 0")
-    for name, value in (("t_min", t_min), ("x_max", x_max)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be a finite number above 0, got {value}")
+    if not (math.isfinite(x_max) and x_max > 0.0):
+        raise ValueError(f"x_max must be a finite number above 0, got {x_max}")
     if not system.coeff_b > 0.0:
         raise ValueError(f"diffusion D is not positive next to x = 0 "
                          f"(B = {system.coeff_b:g}): time stepping needs B > 0")
     nodes = system.sigma_state.nodes()
-    if nodes.size == 0 or nodes[0] * t_min ** alpha >= x_max:
+    if nodes.size == 0 or nodes[0] >= x_max:
         return x_max
-    return 0.95 * float(nodes[0]) * t_min ** alpha
+    return 0.95 * float(nodes[0])
 
 
 @dataclass(frozen=True)
@@ -490,3 +489,108 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec,
     ratios = tuple(entries[k][2] / entries[k + 1][2]
                    for k in range(len(entries) - 1))
     return EvolveReport(entries=tuple(entries), ratios=ratios)
+
+
+def _check_allowed_intervals(system: CdrSystem, grid: GridSpec):
+    """ValueError when [grid.x_min, grid.x_max] misses the classically
+    allowed interval of the solution or the diffusion state: a grid that
+    holds only a state's tail passes every residual row on it."""
+    family = system.family
+    for role, state in (("solution", system.y_state),
+                        ("diffusion", system.sigma_state)):
+        x_lo, x_hi = state.turning_points()
+        if grid.x_max < x_lo:
+            miss = f"'grid.x_max' = {grid.x_max:g} lies below x = {x_lo:.6g}"
+        elif grid.x_min > x_hi:
+            miss = f"'grid.x_min' = {grid.x_min:g} lies above x = {x_hi:.6g}"
+        else:
+            continue
+        raise ValueError(
+            f"config field {miss}: the grid misses the classically allowed "
+            f"interval [{x_lo:.6g}, {x_hi:.6g}] of the {role} state (n={state.n}, "
+            f"s={state.s}) for omega={family.omega:g}, ell={family.ell:g} and "
+            "holds only its tail")
+
+
+def evolve_window(system: CdrSystem, grid: GridSpec) -> GridSpec:
+    """The time-stepper row's grid: t in [1, 2], 200 x 100 points, x from
+    grid.x_min to :func:`positive_diffusion_x_max`; ValueError if empty."""
+    x_hi = positive_diffusion_x_max(system, x_max=grid.x_max)
+    if not grid.x_min < x_hi:
+        raise ValueError(
+            f"config field 'grid.x_min' = {grid.x_min:g} must lie below "
+            f"x = {x_hi:.6g}, 5 % inside the first node of the diffusion "
+            "coefficient D at t = 1: time stepping needs D > 0")
+    return GridSpec(x_min=grid.x_min, x_max=x_hi, nx=200, t_min=1.0,
+                    t_max=2.0, nt=100)
+
+
+def _gram_deviation(system: CdrSystem) -> float:
+    """Largest |G - I| over the Gram matrices of both profiles' chain
+    members, each taken up to the highest degree configured on that member
+    (at least 4)."""
+    n_max = {}
+    for state in (system.y_state, system.sigma_state):
+        n_max[state.s] = max(n_max.get(state.s, 4), state.n)
+    worst = 0.0
+    for s_idx, top in n_max.items():
+        gram = orthonormality_matrix(system.family, s_idx, n_max=top)
+        worst = max(worst, float(np.max(np.abs(gram - np.eye(top + 1)))))
+    return worst
+
+
+def _evolve_record(system: CdrSystem, window: GridSpec) -> dict:
+    """CN errors at two resolutions and their ratio (about 4 for 2nd order)."""
+    report = evolve_oracle(system, window)
+    return {
+        "entries": [list(entry) for entry in report.entries],
+        "error_ratio": report.ratios[0],
+    }
+
+
+# One row per oracle: (report key, label, run(system, grid, window) -> record,
+# metric(record) -> value, tolerance key or (low, high) keys). Each run looks
+# its oracle up as a module global when called, so a rebound name (as in
+# perfbench/spans.py) takes effect.
+_VERIFY_ROWS = (
+    ("schrodinger_solution", "schrodinger residual (solution)",
+     lambda system, grid, window: schrodinger_residual(system.y_state, grid),
+     lambda rep: rep.max_rel, "schrodinger_rel"),
+    ("schrodinger_diffusion", "schrodinger residual (diffusion)",
+     lambda system, grid, window: schrodinger_residual(system.sigma_state, grid),
+     lambda rep: rep.max_rel, "schrodinger_rel"),
+    ("reduced_equation", "reduced-equation residual",
+     lambda system, grid, window: ode_residual(system, grid.x_points()),
+     lambda rep: rep.max_abs, "ode_abs"),
+    ("pde_analytic", "pde residual (analytic)",
+     lambda system, grid, window: pde_residual(system, grid, mode="analytic"),
+     lambda rep: rep.max_rel, "pde_rel"),
+    ("orthonormality_deviation", "orthonormality deviation",
+     lambda system, grid, window: _gram_deviation(system),
+     lambda worst: worst, "orthonormality"),
+    ("evolve", "time-stepper error ratio (2x refinement)",
+     lambda system, grid, window: _evolve_record(system, window),
+     lambda record: record["error_ratio"], ("evolve_ratio_lo", "evolve_ratio_hi")),
+)
+
+
+def run_suite(system: CdrSystem, grid: GridSpec, tolerances: dict,
+              tol_override: float | None = None) -> list:
+    """(report key, label, record, value, threshold, ok) of every row, in
+    table order, once the grid meets both states' allowed intervals and
+    :func:`evolve_window` is not empty (else ValueError naming the field).
+    ``tol_override`` replaces every bound that is not a (low, high) pair."""
+    _check_allowed_intervals(system, grid)
+    window = evolve_window(system, grid)
+    rows = []
+    for key, label, run_oracle, metric, tol_key in _VERIFY_ROWS:
+        record = run_oracle(system, grid, window)
+        value = metric(record)
+        if isinstance(tol_key, tuple):
+            threshold = (tolerances[tol_key[0]], tolerances[tol_key[1]])
+            ok = threshold[0] <= value <= threshold[1]
+        else:
+            threshold = tolerances[tol_key] if tol_override is None else tol_override
+            ok = value <= threshold
+        rows.append((key, label, record, value, threshold, ok))
+    return rows

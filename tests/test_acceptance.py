@@ -14,12 +14,12 @@ import pytest
 
 from susycdr.cdr import (build_case_a, build_case_b, build_fpe, eval_fields,
                          swap)
-from susycdr.cli import run
+from susycdr.cli import DEFAULT_CONFIG, run
 from susycdr.quantum import (DEFAULT_X_MIN, OscillatorParams,
                              RadialOscillatorFamily, darboux_partner)
-from susycdr.verify import (GridSpec, evolve_oracle, node_count, ode_residual,
-                            orthonormality_matrix, pde_residual,
-                            positive_diffusion_x_max, schrodinger_residual)
+from susycdr.verify import (GridSpec, evolve_oracle, evolve_window, node_count,
+                            ode_residual, orthonormality_matrix, pde_residual,
+                            schrodinger_residual)
 
 SWEEP_OMEGAS = (0.5, 1.0, 2.0)
 SWEEP_ELLS = (0.5, 1.0, 2.0)
@@ -27,6 +27,9 @@ SWEEP_S = (0, 1, 3)
 
 PDE_GRID = GridSpec(x_min=0.5, x_max=4.0, nx=120, t_min=0.5, t_max=2.0, nt=4)
 X_GRID = GridSpec(x_min=0.2, x_max=8.0, nx=400, t_min=0.5, t_max=2.5, nt=4)
+
+# the bounds of `susycdr verify`'s rows
+TOL = DEFAULT_CONFIG["tolerances"]
 
 
 def _family(omega, ell):
@@ -58,8 +61,9 @@ def test_criterion_1_orthonormality():
     for omega, ell, s in itertools.product(SWEEP_OMEGAS, SWEEP_ELLS, SWEEP_S):
         gram = orthonormality_matrix(_family(omega, ell), s, n_max=6)
         worst = max(worst, float(np.max(np.abs(gram - np.eye(7)))))
-    _verdict(1, "orthonormality", worst <= 1e-8,
-             f"max |G - I| = {worst:.3e} <= 1e-08")
+    bound = TOL["orthonormality"]
+    _verdict(1, "orthonormality", worst <= bound,
+             f"max |G - I| = {worst:.3e} <= {bound:g}")
 
 
 def test_criterion_2_schrodinger_residual():
@@ -69,8 +73,9 @@ def test_criterion_2_schrodinger_residual():
         for n in range(7):
             rep = schrodinger_residual(family.eigenstate(s, n), X_GRID)
             worst = max(worst, rep.max_rel)
-    _verdict(2, "schrodinger residual", worst <= 1e-8,
-             f"max_rel = {worst:.3e} <= 1e-08")
+    bound = TOL["schrodinger_rel"]
+    _verdict(2, "schrodinger residual", worst <= bound,
+             f"max_rel = {worst:.3e} <= {bound:g}")
 
 
 def test_criterion_3_shape_invariance():
@@ -94,15 +99,16 @@ def test_criterion_4_reduced_equation_residual():
     worst = 0.0
     for name, system in shipped_systems():
         worst = max(worst, ode_residual(system, zs).max_abs)
-    _verdict(4, "reduced-equation residual", worst <= 1e-8,
-             f"max_abs = {worst:.3e} <= 1e-08 over {len(shipped_systems())} systems")
+    bound = TOL["ode_abs"]
+    _verdict(4, "reduced-equation residual", worst <= bound,
+             f"max_abs = {worst:.3e} <= {bound:g} over {len(shipped_systems())} systems")
 
 
 def test_criterion_5_pde_residual():
     worst = 0.0
     for name, system in shipped_systems():
         worst = max(worst, pde_residual(system, PDE_GRID).max_rel)
-    analytic_ok = worst <= 1e-8
+    analytic_ok = worst <= TOL["pde_rel"]
 
     # finite differences must approach the analytic mode at 4th order
     fd_grid = GridSpec(x_min=0.8, x_max=3.0, nx=12, t_min=0.8, t_max=1.6, nt=3)
@@ -114,7 +120,7 @@ def test_criterion_5_pde_residual():
     orders = [float(np.log2(errs[k] / errs[k + 1])) for k in range(2)]
     fd_ok = all(order >= 3.5 for order in orders)
     _verdict(5, "pde residual", analytic_ok and fd_ok,
-             f"analytic max_rel = {worst:.3e} <= 1e-08, "
+             f"analytic max_rel = {worst:.3e} <= {TOL['pde_rel']:g}, "
              f"fd orders = {orders[0]:.2f}, {orders[1]:.2f} >= 3.5")
 
 
@@ -125,11 +131,12 @@ def test_criterion_6_inconsistent_forms_detected(alt_reaction_exponent,
     alt_r = pde_residual(alt_reaction_exponent(fig1), t2_grid)
     alt_c = pde_residual(alt_convection_profile(fig1), t2_grid)
     exact = pde_residual(fig1, PDE_GRID)
-    ok = alt_r.max_rel >= 0.1 and alt_c.max_rel >= 0.1 and exact.max_rel <= 1e-8
+    bound = TOL["pde_rel"]
+    ok = alt_r.max_rel >= 0.1 and alt_c.max_rel >= 0.1 and exact.max_rel <= bound
     _verdict(6, "inconsistent-form detection", ok,
              f"alt reaction exponent max_rel = {alt_r.max_rel:.3f} >= 0.1, "
              f"alt convection profile max_rel = {alt_c.max_rel:.3f} >= 0.1, "
-             f"exact max_rel = {exact.max_rel:.3e} <= 1e-08")
+             f"exact max_rel = {exact.max_rel:.3e} <= {bound:g}")
 
 
 def test_criterion_7_swap_antisymmetry():
@@ -162,15 +169,14 @@ def test_criterion_8_time_stepping():
     ratios = {}
     for name in ("fpe(s=0,n=0)", "fig1"):
         system = systems[name]
-        x_hi = positive_diffusion_x_max(system, t_min=1.0, x_max=8.0)
-        grid = GridSpec(x_min=0.2, x_max=x_hi, nx=200, t_min=1.0, t_max=2.0,
-                        nt=100)
-        rep = evolve_oracle(system, grid, refinements=2)
+        rep = evolve_oracle(system, evolve_window(system, X_GRID))
         assert rep.entries[0][0] == 200 and rep.entries[1][0] == 400
         ratios[name] = rep.ratios[0]
-    ok = all(3.5 <= r <= 4.5 for r in ratios.values())
+    low, high = TOL["evolve_ratio_lo"], TOL["evolve_ratio_hi"]
+    ok = all(low <= r <= high for r in ratios.values())
     detail = ", ".join(f"{k}: ratio = {v:.2f}" for k, v in ratios.items())
-    _verdict(8, "time-stepping cross-check", ok, detail + " in [3.5, 4.5]")
+    _verdict(8, "time-stepping cross-check", ok,
+             detail + f" in [{low:g}, {high:g}]")
 
 
 def test_criterion_9_figure_datasets(tmp_path):

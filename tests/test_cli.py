@@ -8,11 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from susycdr import cli
+from susycdr import verify
 from susycdr.cdr import eval_fields
 from susycdr.cli import (_FIG_GRID, _FIG_TIMES, DEFAULT_CONFIG, ConfigError,
                          _fig_systems, main, parse_config, run)
-from susycdr.verify import orthonormality_matrix
 
 
 def write_config(tmp_path, **overrides):
@@ -72,6 +71,25 @@ def test_bad_number_field_exits_2_naming_it(tmp_path, capsys, override, field):
     path = write_config(tmp_path, **override)
     assert run(["--config", str(path), "verify"]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerances,field", [
+    ({"pde_rel": -1}, "tolerances.pde_rel"),
+    ({"pde_rel": 0}, "tolerances.pde_rel"),
+    ({"evolve_ratio_lo": 0.0}, "tolerances.evolve_ratio_lo"),
+    ({"evolve_ratio_lo": 5, "evolve_ratio_hi": 4}, "tolerances.evolve_ratio_hi"),
+    ({"evolve_ratio_lo": 4, "evolve_ratio_hi": 4}, "tolerances.evolve_ratio_hi"),
+], ids=["negative", "zero", "ratio-lo-zero", "ratio-band-reversed",
+        "ratio-band-empty"])
+def test_tolerance_not_above_0_or_empty_band_exits_2(tmp_path, capsys,
+                                                     tolerances, field):
+    # a bound like that fails its row on every system: a config error, as
+    # with --tol, not a verification failure
+    path = write_config(tmp_path, tolerances=tolerances)
+    assert run(["--config", str(path), "verify"]) == 2
+    captured = capsys.readouterr()
+    assert f"config field '{field}'" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
@@ -268,12 +286,13 @@ class TestVerifyCommand:
     def test_gram_integrates_through_the_configured_degree(
             self, tmp_path, monkeypatch):
         gram_n_max = []
+        gram = verify.orthonormality_matrix
 
         def recorded(family, s, n_max):
             gram_n_max.append(n_max)
-            return orthonormality_matrix(family, s, n_max)
+            return gram(family, s, n_max)
 
-        monkeypatch.setattr(cli, "orthonormality_matrix", recorded)
+        monkeypatch.setattr(verify, "orthonormality_matrix", recorded)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"omega": 1.0, "ell": 1.0, "alpha": 0.8,
                                       "case": "fpe", "s": 1, "n": 6}))
@@ -291,7 +310,7 @@ class TestVerifyCommand:
         def no_oracle(*args):
             raise AssertionError("an oracle ran")
 
-        monkeypatch.setattr(cli, "schrodinger_residual", no_oracle)
+        monkeypatch.setattr(verify, "schrodinger_residual", no_oracle)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"omega": 1.0, "ell": 1.0, "alpha": 0.8,
                                       **indices}))

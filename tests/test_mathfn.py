@@ -190,6 +190,16 @@ class TestIntegrate:
         with pytest.raises(QuadratureError):
             integrate(wild, 0.0, 2.0, self.TOL)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_integrand_inside_rejected(self, bad):
+        # the estimate turns NaN or inf, ends the bisection, and used to be
+        # returned as the integral
+        def f(x):
+            return np.where((x > 10.0) & (x < 14.0), bad, np.exp(-x))
+
+        with pytest.raises(ValueError, match=r"not finite on \[0, 50\]"):
+            integrate(f, 0.0, 50.0, self.TOL)
+
     # field -> (argument, scale of the integrand): tol is the absolute
     # tolerance while |integral| <= 1 and the relative one above it, upper
     # is the truncation point of the half line

@@ -166,6 +166,22 @@ class TestEigenfunction:
         assert nodes.size == n and np.all(np.diff(nodes) > 0.0)
         assert np.all(u(nodes * (1.0 - 1e-9)) * u(nodes * (1.0 + 1e-9)) < 0.0)
 
+    @pytest.mark.parametrize("omega", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("ell", [0.01, 1.0, 300.0, 1e6])
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    def test_turning_points_bound_the_allowed_interval(self, omega, ell, s):
+        family = RadialOscillatorFamily(OscillatorParams(omega, ell))
+        for n in range(41):
+            u = family.eigenstate(s, n)
+            x_lo, x_hi = u.turning_points()
+            v = family.potential(s, np.array([x_lo, x_hi]))
+            # V_s - E at the ends cancels terms of size ~ omega (ell + s + 2n)
+            scale = omega * (ell + s + 2.0 * n + 1.5)
+            np.testing.assert_allclose(v - u.energy, 0.0, rtol=0.0,
+                                       atol=1e-12 * scale)
+            nodes = u.nodes()
+            assert np.all((x_lo < nodes) & (nodes < x_hi))
+
     @pytest.mark.parametrize("s,n", [(0, 0), (0, 5), (1, 2), (3, 4)])
     def test_schrodinger_residual(self, family, s, n):
         rep = schrodinger_residual(family.eigenstate(s, n), GridSpec())

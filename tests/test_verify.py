@@ -15,6 +15,7 @@ from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 from susycdr import _kernels, quantum, verify
 from susycdr.cdr import (CdrSystem, build_case_a, build_case_b, build_fpe,
                          eval_fields, swap)
+from susycdr.cli import DEFAULT_CONFIG
 from susycdr.mathfn import gaussian_tail_cutoff, integrate
 from susycdr.quantum import (DEFAULT_X_MIN, OscillatorParams,
                              RadialOscillatorFamily)
@@ -566,9 +567,9 @@ def test_case_b_sweep_residuals_and_swap(system):
     # range, negative just past that first node x_hi / 0.95
     if system.coeff_b < 0.0:
         with pytest.raises(ValueError, match=re.escape(f"(B = {system.coeff_b:g})")):
-            positive_diffusion_x_max(system, 1.0, 8.0)
+            positive_diffusion_x_max(system, 8.0)
         return
-    x_hi = positive_diffusion_x_max(system, 1.0, 8.0)
+    x_hi = positive_diffusion_x_max(system, 8.0)
     assert np.all(eval_fields(system, np.linspace(x_hi / 400, x_hi, 400), 1.0, "D")[0] > 0.0)
     if x_hi < 8.0:
         assert eval_fields(system, x_hi / 0.95 * (1.0 + 1e-9), 1.0, "D")[0] < 0.0
@@ -577,11 +578,11 @@ def test_case_b_sweep_residuals_and_swap(system):
 class TestPositiveDiffusionXMax:
     def test_nodeless_diffusion_keeps_full_range(self, family):
         system = build_fpe(family, 0, 0, 1.0)
-        assert positive_diffusion_x_max(system, 1.0, 8.0) == 8.0
+        assert positive_diffusion_x_max(system, 8.0) == 8.0
 
     def test_noded_diffusion_truncates_before_first_zero(self, fig1):
         # diffusion profile u_1 of member 3 vanishes at z = sqrt(11)
-        x_hi = positive_diffusion_x_max(fig1, 1.0, 8.0)
+        x_hi = positive_diffusion_x_max(fig1, 8.0)
         assert x_hi == 0.95 * math.sqrt(11.0)
         zs = np.linspace(1e-3, x_hi, 500)
         assert np.all(eval_fields(fig1, zs, 1.0, "D")[0] > 0.0)
@@ -595,16 +596,14 @@ class TestPositiveDiffusionXMax:
         # z = 2, which sample 1023 of a 4096-point scan up to z = 8 hits
         # exactly, so a sign-change scan sees no node there
         system = build(RadialOscillatorFamily(OscillatorParams(1.0, 0.5)))
-        assert positive_diffusion_x_max(system, 1.0, 8.0) == 1.9
+        assert positive_diffusion_x_max(system, 8.0) == 1.9
 
-    @pytest.mark.parametrize("t_min, x_max, name", [
-        (math.nan, 8.0, "t_min"), (0.0, 8.0, "t_min"), (-1.0, 8.0, "t_min"),
-        (math.inf, 8.0, "t_min"), (1.0, -1.0, "x_max"), (1.0, 0.0, "x_max"),
-        (1.0, math.nan, "x_max"), (1.0, math.inf, "x_max"),
-    ])
-    def test_rejects_bad_arguments(self, fig1, t_min, x_max, name):
-        with pytest.raises(ValueError, match=name):
-            positive_diffusion_x_max(fig1, t_min, x_max)
+    # the ids keep the (t_min, x_max, name) form from before t_min was fixed at 1
+    @pytest.mark.parametrize("x_max", [-1.0, 0.0, math.nan, math.inf],
+                             ids=lambda x_max: f"1.0-{x_max}-x_max")
+    def test_rejects_bad_arguments(self, fig1, x_max):
+        with pytest.raises(ValueError, match="x_max"):
+            positive_diffusion_x_max(fig1, x_max)
 
     def test_negative_diffusion_near_origin_rejected(self, fig1):
         # D = B u_sigma with u_sigma > 0 next to x = 0: B < 0 leaves no x
@@ -612,7 +611,7 @@ class TestPositiveDiffusionXMax:
         flipped = dataclasses.replace(fig1, coeff_b=-3.0)
         assert np.all(eval_fields(flipped, np.linspace(1e-3, 3.0, 100), 1.0, "D")[0] < 0.0)
         with pytest.raises(ValueError, match=r"\(B = -3\)"):
-            positive_diffusion_x_max(flipped, 1.0, 8.0)
+            positive_diffusion_x_max(flipped, 8.0)
 
 
 def _systems(family):
@@ -654,7 +653,7 @@ class TestEvolveOracle:
     # below the assembly block size, equal to it, and not a multiple of it
     @pytest.mark.parametrize("nt", [5, 16, 37])
     def test_blocked_assembly_matches_per_level_reference(self, fig1, nt):
-        x_hi = positive_diffusion_x_max(fig1, 1.0, 8.0)
+        x_hi = positive_diffusion_x_max(fig1, 8.0)
         grid = GridSpec(x_min=0.2, x_max=x_hi, nx=40, t_min=1.0, t_max=2.0,
                         nt=nt)
         rep = evolve_oracle(fig1, grid, refinements=2)
@@ -691,7 +690,7 @@ class TestEvolveOracle:
             assert 1.7 <= math.log2(ratio) <= 2.3
 
     def test_fig1_second_order_on_parabolic_domain(self, fig1):
-        x_hi = positive_diffusion_x_max(fig1, 1.0, 8.0)
+        x_hi = positive_diffusion_x_max(fig1, 8.0)
         grid = GridSpec(x_min=0.2, x_max=x_hi, nx=100, t_min=1.0, t_max=2.0,
                         nt=50)
         rep = evolve_oracle(fig1, grid, refinements=2)
@@ -705,11 +704,11 @@ class TestEvolveOracle:
         # to its P: the error ratio stays near 1 (measured 1.00015 for both),
         # where the exact system gives 4.017 on this grid.
         wrong = request.getfixturevalue(double)(fig1)
-        x_hi = positive_diffusion_x_max(fig1, 1.0, 8.0)
-        grid = GridSpec(x_min=0.2, x_max=x_hi, nx=200, t_min=1.0, t_max=2.0,
-                        nt=100)
-        rep = evolve_oracle(wrong, grid, refinements=2)
-        assert not 3.5 <= rep.ratios[0] <= 4.5
+        window = verify.evolve_window(fig1, GridSpec(x_min=0.2, x_max=8.0))
+        rep = evolve_oracle(wrong, window)
+        low, high = (DEFAULT_CONFIG["tolerances"][key]
+                     for key in ("evolve_ratio_lo", "evolve_ratio_hi"))
+        assert not low <= rep.ratios[0] <= high
 
     def test_error_decreases_monotonically_for_all_systems(self, family, fig1):
         systems = [
@@ -721,7 +720,7 @@ class TestEvolveOracle:
             build_case_b(family, 1.0, 1, 3, 3, 1, 3.0, 1.0),
         ]
         for system in systems:
-            x_hi = positive_diffusion_x_max(system, 1.0, 8.0)
+            x_hi = positive_diffusion_x_max(system, 8.0)
             grid = GridSpec(x_min=0.2, x_max=x_hi, nx=80, t_min=1.0,
                             t_max=2.0, nt=40)
             rep = evolve_oracle(system, grid, refinements=3)
