@@ -428,21 +428,21 @@ def _evolve_single(system, x, t0, t1, nt):
     # steps, P on the t0 row and the two boundary columns.
     p0 = eval_fields(system, x[None, :], levels[:1, None], "P")[0][0]
     bc = eval_fields(system, x[None, [0, -1]], levels[:, None], "P")[0]
-    d_levels = np.empty((nt + 1, nx))
-    c_levels = np.empty((nt + 1, nx))
-    r_half = np.empty((nt, nx))
-    # Blocked: one broadcast over all levels raised certify's peak RSS by a quarter.
-    for start in range(0, nt + 1, _kernels.LEVEL_BLOCK):
-        block = slice(start, start + _kernels.LEVEL_BLOCK)
-        d_levels[block], c_levels[block] = eval_fields(
-            system, x[None, :], levels[block, None], "DC")
-        if start < nt:  # the last block may hold level nt alone
-            r_half[block] = eval_fields(
-                system, x[None, :], halves[block, None], "R")[0]
-
-    p_num = _kernels.cn_evolve(
-        p0, d_levels, c_levels, r_half, bc[:, 0], bc[:, 1], dt, h
-    )
+    # One block of LEVEL_BLOCK steps at a time (see evolve_oracle). A block's
+    # arrays are dropped before the next block is evaluated, which then
+    # reuses their heap; held across it, glibc trims the top of the heap and
+    # the next block faults it back in (about 5000 minor page faults per
+    # certify round, against a handful).
+    p_num = p0
+    for start in range(0, nt, _kernels.LEVEL_BLOCK):
+        stop = min(start + _kernels.LEVEL_BLOCK, nt)
+        d_blk, c_blk = eval_fields(
+            system, x[None, :], levels[start:stop + 1, None], "DC")
+        r_blk = eval_fields(system, x[None, :], halves[start:stop, None], "R")[0]
+        p_num = _kernels.cn_evolve(p_num, d_blk, c_blk, r_blk,
+                                   bc[start:stop + 1, 0], bc[start:stop + 1, 1],
+                                   dt, h)
+        del d_blk, c_blk, r_blk
     p_exact = eval_fields(system, x, t1, "P")[0]
     blowup = 1e6 * max(float(np.max(np.abs(p0))), float(np.max(np.abs(p_exact))))
     if not np.all(np.isfinite(p_num)) or float(np.max(np.abs(p_num))) > blowup:
@@ -468,6 +468,14 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec,
     ``refinements`` below 1 runs nothing; both raise ValueError, as does
     an error of exactly 0 (P vanishes on the window, or is so small that
     the squared errors underflow).
+
+    Each resolution streams: D and C are evaluated at the levels of one
+    block of ``_kernels.LEVEL_BLOCK`` steps and R at its half steps,
+    ``_kernels.cn_evolve`` advances P over that block, and the block is
+    dropped, so memory is O(nx * LEVEL_BLOCK) whatever nt is. A block's
+    first level is the previous block's last; every field value equals
+    that of a per-level evaluation, so P carries the same bits as one
+    ``cn_evolve`` call over the whole window.
     """
     if grid.t_min == grid.t_max:
         raise ValueError(f"need t_min < t_max, got both {grid.t_min}")

@@ -650,8 +650,9 @@ def _per_level_evolve(system, x, t0, t1, nt):
 
 
 class TestEvolveOracle:
-    # below the assembly block size, equal to it, and not a multiple of it
-    @pytest.mark.parametrize("nt", [5, 16, 37])
+    # below the block size, equal to it, two full blocks sharing a boundary
+    # level (P handed from one cn_evolve call to the next), and a ragged tail
+    @pytest.mark.parametrize("nt", [5, 16, 32, 37])
     def test_blocked_assembly_matches_per_level_reference(self, fig1, nt):
         x_hi = positive_diffusion_x_max(fig1, 8.0)
         grid = GridSpec(x_min=0.2, x_max=x_hi, nx=40, t_min=1.0, t_max=2.0,
@@ -664,6 +665,19 @@ class TestEvolveOracle:
             ref_p, ref_err = _per_level_evolve(fig1, x, 1.0, 2.0, steps)
             assert np.array_equal(p_num, ref_p)
             assert blocked_err == ref_err == err
+
+    @pytest.mark.parametrize("nt", [100, 400, 1600])
+    def test_peak_memory_does_not_grow_with_nt(self, fig1, nt):
+        # one block of D, C and R at nx = 400 is 160 kB; the three
+        # (nt + 1, nx) arrays of the whole window are 15.4 MB at nt = 1600
+        x = np.linspace(0.2, positive_diffusion_x_max(fig1, 8.0), 400)
+        tracemalloc.start()
+        try:
+            _evolve_single(fig1, x, 1.0, 2.0, nt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
 
     def test_no_evolution_rejected(self, family):
         system = build_fpe(family, 0, 0, 1.0)
