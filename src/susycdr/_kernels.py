@@ -38,11 +38,6 @@ def laguerre_values(n, a, y):
     return laguerre_table(n, a, y)[n]
 
 
-# Time levels per blocked numpy pass: the CN step coefficients below and the
-# field assembly in verify. Blocks bound the temporaries (and peak RSS).
-LEVEL_BLOCK = 16
-
-
 # ---------------------------------------------------------------------------
 # Tridiagonal (Thomas) solve. Rows: diag[i]*x[i] + upper[i]*x[i+1]
 # + lower[i]*x[i-1] = rhs[i], with lower[0] and upper[-1] ignored. No
@@ -147,8 +142,9 @@ def _reduced_solve(levels, j, lower, diag, upper, rhs):
 # uniform grid, central differences, Dirichlet values supplied per step.
 # d_levels/c_levels hold D and C at every time level (nt+1, nx);
 # r_half holds R at the half steps (nt, nx). Second order in h and dt.
-# The band coefficients of LEVEL_BLOCK steps are built, and reduced to at
-# most THOMAS_ROWS rows, in one numpy pass per block.
+# The band coefficients of all nt steps are built, and reduced to at most
+# THOMAS_ROWS rows, in one numpy pass; the caller bounds nt (verify hands
+# over one block of time levels per call).
 # ---------------------------------------------------------------------------
 
 def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
@@ -158,34 +154,28 @@ def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
     inv_h2 = 1.0 / (h * h)
     inv_2h = 0.5 / h
     rhs = np.empty(nx)
-    lower = np.zeros((LEVEL_BLOCK, nx))
-    diag = np.ones((LEVEL_BLOCK, nx))
-    upper = np.zeros((LEVEL_BLOCK, nx))
-    for start in range(0, nt, LEVEL_BLOCK):
-        stop = min(start + LEVEL_BLOCK, nt)
-        m = stop - start
-        # levels start..stop: the old level of each step, then the new one
-        d = d_levels[start:stop + 1]
-        c = c_levels[start:stop + 1]
-        lo = d[:, :-2] * inv_h2 + c[:, :-2] * inv_2h
-        hi = d[:, 2:] * inv_h2 - c[:, 2:] * inv_2h
+    # levels 0..nt: the old level of each step, then the new one
+    lo = d_levels[:, :-2] * inv_h2 + c_levels[:, :-2] * inv_2h
+    hi = d_levels[:, 2:] * inv_h2 - c_levels[:, 2:] * inv_2h
 
-        # spatial operator L at the old level (interior), for the explicit half
-        mid_old = -2.0 * d[:-1, 1:-1] * inv_h2
-        dt_r = dt * r_half[start:stop, 1:-1]
+    # spatial operator L at the old level (interior), for the explicit half
+    mid_old = -2.0 * d_levels[:-1, 1:-1] * inv_h2
+    dt_r = dt * r_half[:, 1:-1]
 
-        # implicit half at the new level
-        lower[:m, 1:-1] = -0.5 * dt * lo[1:]
-        diag[:m, 1:-1] = 1.0 + dt * d[1:, 1:-1] * inv_h2
-        upper[:m, 1:-1] = -0.5 * dt * hi[1:]
-        levels, red_lower, red_diag, red_upper = _reduce_bands(
-            lower[:m], diag[:m], upper[:m])
+    # implicit half at the new level
+    lower = np.zeros((nt, nx))
+    diag = np.ones((nt, nx))
+    upper = np.zeros((nt, nx))
+    lower[:, 1:-1] = -0.5 * dt * lo[1:]
+    diag[:, 1:-1] = 1.0 + dt * d_levels[1:, 1:-1] * inv_h2
+    upper[:, 1:-1] = -0.5 * dt * hi[1:]
+    levels, red_lower, red_diag, red_upper = _reduce_bands(lower, diag, upper)
 
-        for j in range(m):
-            rhs[1:-1] = p[1:-1] + 0.5 * dt * (
-                lo[j] * p[:-2] + mid_old[j] * p[1:-1] + hi[j] * p[2:]
-            ) + dt_r[j]
-            rhs[0] = bc_left[start + j + 1]
-            rhs[-1] = bc_right[start + j + 1]
-            p = _reduced_solve(levels, j, red_lower, red_diag, red_upper, rhs)
+    for j in range(nt):
+        rhs[1:-1] = p[1:-1] + 0.5 * dt * (
+            lo[j] * p[:-2] + mid_old[j] * p[1:-1] + hi[j] * p[2:]
+        ) + dt_r[j]
+        rhs[0] = bc_left[j + 1]
+        rhs[-1] = bc_right[j + 1]
+        p = _reduced_solve(levels, j, red_lower, red_diag, red_upper, rhs)
     return p

@@ -55,6 +55,16 @@ DEFAULT_CONFIG = {
     },
 }
 
+# Laguerre index fields of each case, in the order they are read.
+_INDEX_FIELDS = {
+    CaseTag.FPE: ("s", "n"),
+    CaseTag.CASE_A: ("n", "m"),
+    CaseTag.CASE_B: ("n", "s", "n_prime", "s_prime"),
+}
+# Every top-level field that some case reads.
+_TOP_FIELDS = tuple(dict.fromkeys(
+    [*DEFAULT_CONFIG, *(key for keys in _INDEX_FIELDS.values() for key in keys)]))
+
 _FIG_TIMES = (0.3, 1.0, 2.0)
 _FIG_GRID = np.linspace(0.02, 10.0, 500)
 
@@ -121,8 +131,23 @@ def _require(data, key, kind, default=_REQUIRED, section=None):
     return value
 
 
+def _reject_unknown(data, known, section=None):
+    """ConfigError naming the first key of ``data`` that is not ``known``."""
+    for key in data:
+        if key not in known:
+            name = f"{section}.{key}" if section else key
+            raise ConfigError(f"config field '{name}' is not known; known "
+                              f"fields: {', '.join(known)}")
+
+
 def parse_config(data: dict) -> RunConfig:
-    """Validate a config mapping; raises ConfigError naming the bad field."""
+    """Validate a config mapping; raises ConfigError naming the bad field.
+
+    A key that no case reads, at the top level or in ``grid`` or
+    ``tolerances``, is an error too: a misspelt field would run on its
+    default.
+    """
+    _reject_unknown(data, _TOP_FIELDS)
     omega = _require(data, "omega", float)
     ell = _require(data, "ell", float)
     alpha = _require(data, "alpha", float)
@@ -140,16 +165,8 @@ def parse_config(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"config: {exc}")
 
-    indices = {}
-    if case is CaseTag.FPE:
-        indices["s"] = _require(data, "s", int)
-        indices["n"] = _require(data, "n", int)
-    elif case is CaseTag.CASE_A:
-        indices["n"] = _require(data, "n", int)
-        indices["m"] = _require(data, "m", int)
-    else:
-        for key in ("n", "s", "n_prime", "s_prime"):
-            indices[key] = _require(data, key, int)
+    indices = {key: _require(data, key, int) for key in _INDEX_FIELDS[case]}
+    if case is CaseTag.CASE_B:
         if indices["n"] + indices["s"] != indices["n_prime"] + indices["s_prime"]:
             raise ConfigError(
                 "config: case_b requires the index constraint "
@@ -163,6 +180,7 @@ def parse_config(data: dict) -> RunConfig:
     coeff_a = _require(data, "A", float, 1.0)
     coeff_b = _require(data, "B", float, 1.0)
     grid_data = _require(data, "grid", dict, {})
+    _reject_unknown(grid_data, DEFAULT_CONFIG["grid"], "grid")
     grid_fields = {
         key: _require(grid_data, key, type(default), default, "grid")
         for key, default in DEFAULT_CONFIG["grid"].items()
@@ -172,6 +190,7 @@ def parse_config(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"config field 'grid': {exc}")
     tol_data = _require(data, "tolerances", dict, {})
+    _reject_unknown(tol_data, DEFAULT_CONFIG["tolerances"], "tolerances")
     tolerances = {
         key: _require(tol_data, key, float, default, "tolerances")
         for key, default in DEFAULT_CONFIG["tolerances"].items()

@@ -37,6 +37,10 @@ __all__ = [
 # Highest n_max of orthonormality_matrix.
 GRAM_MAX_DEGREE = 8
 
+# Time levels per blocked numpy pass of the PDE residual and of the CN
+# oracle. Blocks bound the temporaries (and peak RSS).
+LEVEL_BLOCK = 16
+
 # Floor added to local scales before dividing, so relative residuals stay
 # finite where every field vanishes (large x).
 _SCALE_FLOOR = 1e-30
@@ -107,15 +111,25 @@ class ResidualReport:
         }
 
 
+def _reduce(residual, scale):
+    """max |r|, the sum of r^2, and the flat index and value of the largest
+    normalized residual |r| / max(scale, floor) (the first NaN, else the
+    first maximum) of one residual array and its scale."""
+    residual = residual.ravel()
+    rel = np.abs(residual)
+    max_abs = np.max(rel)  # taken before rel is normalized in place
+    rel /= np.maximum(scale.ravel(), _SCALE_FLOOR)
+    idx = int(np.argmax(rel))
+    return max_abs, float(np.sum(residual * residual)), idx, float(rel[idx])
+
+
 def _report(residual, scale, x, mode):
     """Report over the points ``x``."""
-    residual = residual.ravel()
-    rel = np.abs(residual) / np.maximum(scale.ravel(), _SCALE_FLOOR)
-    idx = int(np.argmax(rel))
+    max_abs, sum_sq, idx, max_rel = _reduce(residual, scale)
     return ResidualReport(
-        max_abs=float(np.max(np.abs(residual))),
-        l2=float(np.sqrt(np.mean(residual ** 2))),
-        max_rel=float(rel[idx]),
+        max_abs=float(max_abs),
+        l2=math.sqrt(sum_sq / residual.size),
+        max_rel=max_rel,
         worst_point=x[idx],
         mode=mode,
     )
@@ -238,22 +252,15 @@ def _fd_terms(system, x, ts, fd_step):
 
 
 def _reduce_block(p, dt_p, dx_cp, dxx_dp, reac):
-    """max |r|, the sum of r^2, and the flat index and value of the largest
-    normalized residual (the first NaN, else the first maximum) of one
-    block of PDE terms, r = dt_p + dx_cp - dxx_dp - reac."""
+    """:func:`_reduce` of one block of PDE terms,
+    r = dt_p + dx_cp - dxx_dp - reac."""
     residual = dt_p + dx_cp
     residual -= dxx_dp
     residual -= reac
-    residual = residual.ravel()
     scale = np.abs(p)
     for term in (dx_cp, dxx_dp, reac):
         np.maximum(scale, np.abs(term), out=scale)
-    np.maximum(scale, _SCALE_FLOOR, out=scale)
-    rel = np.abs(residual)
-    max_abs = np.max(rel)  # taken before rel is normalized in place
-    rel /= scale.ravel()
-    idx = int(np.argmax(rel))
-    return max_abs, float(np.sum(residual * residual)), idx, float(rel[idx])
+    return _reduce(residual, scale)
 
 
 def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
@@ -267,9 +274,9 @@ def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
     ``max_rel`` normalizes pointwise by
     max(|P|, |d/dx(CP)|, |d2/dx2(DP)|, |R|) plus a tiny floor.
 
-    The terms are evaluated over blocks of ``_kernels.LEVEL_BLOCK`` time
-    levels, with the analytic time factors taken level by level, so every
-    value equals that of a per-level evaluation. Each block is reduced as
+    The terms are evaluated over blocks of ``LEVEL_BLOCK`` time levels,
+    with the analytic time factors taken level by level, so every value
+    equals that of a per-level evaluation. Each block is reduced as
     soon as its terms are in, and dropped when the next block's arrive,
     so memory is O(nx * LEVEL_BLOCK) whatever nt is. ``max_abs``,
     ``max_rel`` and ``worst_point`` equal those of one reduction over the
@@ -286,8 +293,8 @@ def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
     ts = grid.t_points()
     max_abs = sum_sq = 0.0
     max_rel, worst = -math.inf, None
-    for start in range(0, grid.nt, _kernels.LEVEL_BLOCK):
-        levels = ts[start:start + _kernels.LEVEL_BLOCK]
+    for start in range(0, grid.nt, LEVEL_BLOCK):
+        levels = ts[start:start + LEVEL_BLOCK]
         # ``terms`` stays bound until the next block's terms replace it.
         # Dropped before, the block's arrays leave the top of the heap
         # free, glibc gives it back to the OS, and the next block faults
@@ -434,8 +441,8 @@ def _evolve_single(system, x, t0, t1, nt):
     # the next block faults it back in (about 5000 minor page faults per
     # certify round, against a handful).
     p_num = p0
-    for start in range(0, nt, _kernels.LEVEL_BLOCK):
-        stop = min(start + _kernels.LEVEL_BLOCK, nt)
+    for start in range(0, nt, LEVEL_BLOCK):
+        stop = min(start + LEVEL_BLOCK, nt)
         d_blk, c_blk = eval_fields(
             system, x[None, :], levels[start:stop + 1, None], "DC")
         r_blk = eval_fields(system, x[None, :], halves[start:stop, None], "R")[0]
@@ -470,9 +477,9 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec,
     the squared errors underflow).
 
     Each resolution streams: D and C are evaluated at the levels of one
-    block of ``_kernels.LEVEL_BLOCK`` steps and R at its half steps,
-    ``_kernels.cn_evolve`` advances P over that block, and the block is
-    dropped, so memory is O(nx * LEVEL_BLOCK) whatever nt is. A block's
+    block of ``LEVEL_BLOCK`` steps and R at its half steps,
+    ``_kernels.cn_evolve`` steps P over exactly that block, and the block
+    is dropped, so memory is O(nx * LEVEL_BLOCK) whatever nt is. A block's
     first level is the previous block's last; every field value equals
     that of a per-level evaluation, so P carries the same bits as one
     ``cn_evolve`` call over the whole window.
@@ -518,6 +525,22 @@ def _check_allowed_intervals(system: CdrSystem, grid: GridSpec):
             f"interval [{x_lo:.6g}, {x_hi:.6g}] of the {role} state (n={state.n}, "
             f"s={state.s}) for omega={family.omega:g}, ell={family.ell:g} and "
             "holds only its tail")
+
+
+def _check_p_nonzero(system: CdrSystem, grid: GridSpec):
+    """ValueError when P is 0 at every x of some grid time level: each
+    residual row there compares zeros and passes. One block of
+    ``LEVEL_BLOCK`` levels at a time, as in :func:`pde_residual`."""
+    x, ts = grid.x_points(), grid.t_points()
+    for start in range(0, grid.nt, LEVEL_BLOCK):
+        levels = ts[start:start + LEVEL_BLOCK]
+        p = eval_fields(system, x[None, :], levels[:, None], "P")[0]
+        zero = np.flatnonzero(~p.any(axis=1))
+        if zero.size:
+            raise ValueError(
+                f"config field 'grid': P is 0 at every x in [{grid.x_min:g}, "
+                f"{grid.x_max:g}] at time level t = {levels[zero[0]]:.6g} (it "
+                "underflows): the residual rows would compare zeros there")
 
 
 def evolve_window(system: CdrSystem, grid: GridSpec) -> GridSpec:
@@ -585,10 +608,12 @@ _VERIFY_ROWS = (
 def run_suite(system: CdrSystem, grid: GridSpec, tolerances: dict,
               tol_override: float | None = None) -> list:
     """(report key, label, record, value, threshold, ok) of every row, in
-    table order, once the grid meets both states' allowed intervals and
-    :func:`evolve_window` is not empty (else ValueError naming the field).
-    ``tol_override`` replaces every bound that is not a (low, high) pair."""
+    table order, once the grid meets both states' allowed intervals, P is
+    not 0 on a whole time level of it and :func:`evolve_window` is not
+    empty (else ValueError naming the field). ``tol_override`` replaces
+    every bound that is not a (low, high) pair."""
     _check_allowed_intervals(system, grid)
+    _check_p_nonzero(system, grid)
     window = evolve_window(system, grid)
     rows = []
     for key, label, run_oracle, metric, tol_key in _VERIFY_ROWS:

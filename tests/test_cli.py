@@ -65,8 +65,12 @@ class TestParseConfig:
     ({"alpha": 0.0}, "alpha"),
     ({"alpha": -0.5}, "alpha"),
     ({"grid": {"nx": 10 ** 9}}, "grid"),
+    ({"tolerence": {"pde_rel": 1e-20}}, "tolerence"),
+    ({"grid": {"xmax": 3.0}}, "grid.xmax"),
+    ({"tolerances": {"pde": 1e-20}}, "tolerances.pde"),
 ], ids=["tolerance-str", "tolerances-list", "A-null", "A-str", "omega-nan",
-        "alpha-inf", "alpha-zero", "alpha-negative", "grid-too-large"])
+        "alpha-inf", "alpha-zero", "alpha-negative", "grid-too-large",
+        "unknown-key", "grid-unknown-key", "tolerances-unknown-key"])
 def test_bad_number_field_exits_2_naming_it(tmp_path, capsys, override, field):
     path = write_config(tmp_path, **override)
     assert run(["--config", str(path), "verify"]) == 2
@@ -367,6 +371,29 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "config field 'grid.x_min' = 7.5 lies above x = 5.06839" in err
         assert "solution state (n=2, s=0) for omega=1, ell=1" in err
+
+    @pytest.mark.parametrize("t_min, t_max, nt, t_zero", [
+        (0.5, 2.5, 4, "0.5"), (1.0, 2.5, 4, "1.5"), (1.0, 1.04, 20, "1.04")],
+        ids=["every-level", "from-the-second-level", "last-level-of-two-blocks"])
+    def test_p_zero_on_a_whole_time_level_exits_2_before_any_oracle(
+            self, tmp_path, monkeypatch, capsys, t_min, t_max, nt, t_zero):
+        # the grid holds u_0 near t = 1 only: at the other levels it lies
+        # near x = 1414 t, off the grid, and P underflows to 0 on every x,
+        # where the pde row would pass on zeros
+        def no_oracle(*args):
+            raise AssertionError("an oracle ran")
+
+        monkeypatch.setattr(verify, "schrodinger_residual", no_oracle)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "omega": 1.0, "ell": 1e6, "alpha": 1.0, "case": "fpe", "s": 0,
+            "n": 0, "grid": {"x_min": 1400.0, "x_max": 1430.0,
+                             "t_min": t_min, "t_max": t_max, "nt": nt}}))
+        assert run(["--config", str(config), "verify"]) == 2
+        captured = capsys.readouterr()
+        assert ("config field 'grid': P is 0 at every x in [1400, 1430] at "
+                f"time level t = {t_zero} ") in captured.err
+        assert captured.out == ""
 
     def test_json_report_written_when_out_given(self, tmp_path):
         out = tmp_path / "report"

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from susycdr import _kernels
+from susycdr import _kernels, verify
 
 
 def _two_term_recurrence(n, a, y):
@@ -174,10 +174,11 @@ class TestCnKernel:
             rtol=1e-12, atol=1e-14,
         )
 
-    # the run ends below, on and across the edge of a coefficient block
+    # nt below, at and past verify's block of time levels: the kernel builds
+    # the bands of every step it is handed in one pass, whatever nt is
     @pytest.mark.parametrize("nt", [5, 16, 37])
     def test_blocked_coefficients_equal_per_step_build(self, nt):
-        assert _kernels.LEVEL_BLOCK == 16
+        assert verify.LEVEL_BLOCK == 16
         # Up to THOMAS_ROWS rows the sweep sees the per-step bands and keeps
         # their bits; odd-even reduction above that reorders the arithmetic.
         for nx in (40, 200):

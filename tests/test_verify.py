@@ -69,6 +69,35 @@ class _Scaled(_EnergyShifted):
         return tuple(self._factor * d for d in self._state.jet(x, order))
 
 
+class _Planted(_EnergyShifted):
+    """A true state whose u'' reads the planted (index, value) pairs."""
+
+    def __init__(self, state, plants):
+        super().__init__(state, 0.0)
+        self._plants = plants
+
+    def jet(self, x, order=2):
+        u, u_d, u_dd = self._state.jet(x, order)
+        u_dd = u_dd.copy()
+        for i, value in self._plants:
+            u_dd[i] = value
+        return u, u_d, u_dd
+
+
+# (x index, value) plants in a one-dimensional row; the first NaN is at 30
+ROW_PLANTS = pytest.mark.parametrize("plants", [
+    [(30, math.nan)],
+    [(30, math.nan), (50, math.nan)],
+    [(10, 1e100), (30, math.nan)],
+], ids=["nan", "two-nans", "large-then-nan"])
+
+
+def _assert_nan_at_first_nan(rep, x):
+    assert math.isnan(rep.max_abs) and math.isnan(rep.l2)
+    assert math.isnan(rep.max_rel)
+    assert rep.worst_point == x[30]
+
+
 class TestSchrodingerResidual:
     @pytest.mark.parametrize("n", range(6))
     def test_true_states_pass(self, family, n):
@@ -99,6 +128,13 @@ class TestSchrodingerResidual:
         rep = schrodinger_residual(family.eigenstate(1, 3), grid)
         assert grid.x_min <= rep.worst_point <= grid.x_max
 
+    @ROW_PLANTS
+    def test_nan_reported_at_the_first_nan(self, family, plants):
+        grid = GridSpec()
+        rep = schrodinger_residual(_Planted(family.eigenstate(0, 2), plants),
+                                   grid)
+        _assert_nan_at_first_nan(rep, grid.x_points())
+
     def test_reads_u_and_u2_from_one_jet(self, family, laguerre_calls):
         # L_3^a, L_2^{a+1} and L_1^{a+2} once each, and no separate value call
         schrodinger_residual(family.eigenstate(1, 3), GridSpec())
@@ -115,6 +151,22 @@ class TestOdeResidual:
         system = build_fpe(family, 0, 1, 1.0)
         rep = ode_residual(system, np.linspace(0.2, 8.0, 200))
         assert rep.max_abs <= 1e-13
+
+    @ROW_PLANTS
+    def test_nan_reported_at_the_first_nan(self, fig1, plants):
+        fields = {f.name: getattr(fig1, f.name)
+                  for f in dataclasses.fields(CdrSystem)}
+
+        class _PlantedJets(CdrSystem):
+            def jets(self, z):
+                (y, y_d, y_dd), sig_jet = super().jets(z)
+                y_dd = y_dd.copy()
+                for i, value in plants:
+                    y_dd[i] = value
+                return (y, y_d, y_dd), sig_jet
+
+        z = np.linspace(0.2, 8.0, 400)
+        _assert_nan_at_first_nan(ode_residual(_PlantedJets(**fields), z), z)
 
     def test_perturbed_reaction_responds_linearly(self, family):
         base = build_case_a(family, 1.0, n=1, m=0)
@@ -299,7 +351,7 @@ class TestPdeResidual:
                                    fd_step=fd_step).as_dict()
                 # l2 sums its squares per block: past one block the sum
                 # may round differently from the whole-grid one
-                if nt <= _kernels.LEVEL_BLOCK:
+                if nt <= verify.LEVEL_BLOCK:
                     assert got == want
                 else:
                     assert got["l2"] == pytest.approx(want["l2"], rel=1e-14)
@@ -320,7 +372,7 @@ class TestPdeResidual:
         grid = GridSpec(x_min=0.5, x_max=4.0, nx=30, t_min=0.5, t_max=2.0,
                         nt=40)
         x, ts = grid.x_points(), grid.t_points()
-        middle = _kernels.LEVEL_BLOCK
+        middle = verify.LEVEL_BLOCK
 
         def planted(system, xx, levels):
             terms = _analytic_terms(system, xx, levels)
@@ -392,7 +444,7 @@ class TestPdeResidual:
 
         monkeypatch.setattr(verify, "eval_fields", counted)
         pde_residual(fig1, GridSpec(nx=400, nt=20), mode="finite-difference")
-        assert len(calls) == 9 * math.ceil(20 / _kernels.LEVEL_BLOCK) == 18
+        assert len(calls) == 9 * math.ceil(20 / verify.LEVEL_BLOCK) == 18
 
     @pytest.mark.parametrize("fd_step", [0.0, -1e-3, math.nan, math.inf])
     def test_rejects_bad_fd_step(self, fig1, fd_step):
