@@ -3,9 +3,10 @@
 Subcommands
 -----------
 build     parse a config, construct the system, print a summary
-eval      sample P, D, C, R on the configured grid and write one CSV
-verify    run the full oracle suite and print a pass/fail table; takes
-          Laguerre degrees (n, m, n_prime) from 0 to 8
+eval      sample P, D, C, R on the configured grid with
+          ``verify.grid_fields`` and write one CSV
+verify    run the full oracle suite (``verify.run_suite``) and print a
+          pass/fail table; takes Laguerre degrees (n, m, n_prime) from 0 to 8
 emit-fig  write the bundled example datasets (two interchanged parameter
           sets of the two-chain-member case at t = 0.3, 1.0, 2.0) plus a
           gnuplot script
@@ -14,7 +15,8 @@ Configuration is a single JSON document (see DEFAULT_CONFIG for the
 schema). Every value written to CSV is rendered with ``%.17g``: the bytes
 are stable from run to run and each value round-trips bit-for-bit.
 
-Exit codes: 0 success, 1 verification failure, 2 config or usage error.
+Exit codes: 0 success, 1 verification failure, 2 config or usage error,
+a field that is not finite on the grid, or a failed verify precondition.
 """
 
 import argparse
@@ -29,7 +31,8 @@ import numpy as np
 from .cdr import (CaseTag, CdrSystem, build_case_a, build_case_b, build_fpe,
                   eval_fields, swap)
 from .quantum import OscillatorParams, RadialOscillatorFamily
-from .verify import GRAM_MAX_DEGREE, GridSpec, ResidualReport, run_suite
+from .verify import (GRAM_MAX_DEGREE, GridSpec, ResidualReport, grid_fields,
+                     run_suite)
 
 __all__ = ["main", "run", "RunConfig", "DEFAULT_CONFIG"]
 
@@ -145,7 +148,7 @@ def parse_config(data: dict) -> RunConfig:
 
     A key that no case reads, at the top level or in ``grid`` or
     ``tolerances``, is an error too: a misspelt field would run on its
-    default.
+    default. So is a Laguerre index field of another case.
     """
     _reject_unknown(data, _TOP_FIELDS)
     omega = _require(data, "omega", float)
@@ -165,6 +168,11 @@ def parse_config(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"config: {exc}")
 
+    for key in data:
+        if key not in _INDEX_FIELDS[case] and any(
+                key in fields for fields in _INDEX_FIELDS.values()):
+            raise ConfigError(
+                f"config field '{key}' is not read by case {case.value}")
     indices = {key: _require(data, key, int) for key in _INDEX_FIELDS[case]}
     if case is CaseTag.CASE_B:
         if indices["n"] + indices["s"] != indices["n_prime"] + indices["s_prime"]:
@@ -181,12 +189,12 @@ def parse_config(data: dict) -> RunConfig:
     coeff_b = _require(data, "B", float, 1.0)
     grid_data = _require(data, "grid", dict, {})
     _reject_unknown(grid_data, DEFAULT_CONFIG["grid"], "grid")
-    grid_fields = {
+    grid_values = {
         key: _require(grid_data, key, type(default), default, "grid")
         for key, default in DEFAULT_CONFIG["grid"].items()
     }
     try:
-        grid = GridSpec(**grid_fields)
+        grid = GridSpec(**grid_values)
     except ValueError as exc:
         raise ConfigError(f"config field 'grid': {exc}")
     tol_data = _require(data, "tolerances", dict, {})
@@ -259,34 +267,20 @@ def _cmd_build(config: RunConfig) -> int:
     return 0
 
 
-def _finite_levels(system: CdrSystem, config: RunConfig) -> tuple:
-    """Grid x and t, and (P, D, C, R) at each t; ConfigError when a field is
-    not finite at some grid point."""
-    xs = config.grid.x_points()
-    ts = config.grid.t_points()
-    levels = [eval_fields(system, xs, float(t)) for t in ts]
-    for name, values in zip("PDCR", zip(*levels)):
-        bad = int(np.count_nonzero(~np.isfinite(values)))
-        if bad:
-            raise ConfigError(
-                f"field {name} is not finite at {bad} of {xs.size * ts.size} "
-                f"grid points for omega={config.family.omega:g}, "
-                f"ell={config.family.ell:g}: the closed form overflows there"
-            )
-    return xs, ts, levels
-
-
 def _cmd_eval(config: RunConfig, out_dir: Path) -> int:
-    xs, ts, levels = _finite_levels(config.build(), config)
+    grid = config.grid
+    blocks = list(grid_fields(config.build(), grid))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "fields.csv"
-    x_cells = ["%.17g" % x for x in xs.tolist()]
+    x_cells = ["%.17g" % x for x in grid.x_points().tolist()]
     with path.open("w") as fh:
         fh.write("x,t,P,D,C,R\n")
-        for t, fields in zip(ts.tolist(), levels):
-            t_cell = "%.17g" % t
-            fh.write(_csv_rows([f"{x},{t_cell}" for x in x_cells], fields))
-    print(f"wrote {path} ({xs.size * ts.size} rows)")
+        for levels, fields in blocks:
+            for j, t in enumerate(levels.tolist()):
+                t_cell = "%.17g" % t
+                fh.write(_csv_rows([f"{x},{t_cell}" for x in x_cells],
+                                   [field[j] for field in fields]))
+    print(f"wrote {path} ({grid.nx * grid.nt} rows)")
     return 0
 
 
@@ -298,9 +292,7 @@ def _cmd_verify(config: RunConfig, tol_override: float | None,
                 f"config field '{key}' must be at most {GRAM_MAX_DEGREE} for "
                 f"verify, got {config.indices[key]}: its Gram integrates "
                 f"states up to degree {GRAM_MAX_DEGREE}")
-    system = config.build()
-    _finite_levels(system, config)
-    rows = run_suite(system, config.grid, config.tolerances, tol_override)
+    rows = run_suite(config.build(), config.grid, config.tolerances, tol_override)
 
     width = max(len(row[1]) for row in rows) + 2
     for _, name, _, value, threshold, ok in rows:
@@ -352,13 +344,14 @@ do for [tag in "fig1 fig2"] {
 """
 
 
-def _cmd_emit_fig(config: RunConfig, out_dir: Path) -> int:
+def _cmd_emit_fig(out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     header = "x," + ",".join(f"t={t:g}" for t in _FIG_TIMES) + "\n"
     x_cells = ["%.17g" % x for x in _FIG_GRID.tolist()]
     for tag, system in _fig_systems():
-        levels = [eval_fields(system, _FIG_GRID, t) for t in _FIG_TIMES]
-        for name, columns in zip("PDCR", zip(*levels)):
+        fields = eval_fields(system, _FIG_GRID[None, :],
+                             np.array(_FIG_TIMES)[:, None])
+        for name, columns in zip("PDCR", fields):
             (out_dir / f"{tag}_{name}.csv").write_text(
                 header + _csv_rows(x_cells, columns))
     (out_dir / "plot_figures.gp").write_text(_PLOT_SCRIPT)
@@ -412,7 +405,7 @@ def run(argv) -> int:
         out_dir = _out_dir(args.out if args.out is not None else "susycdr_out")
         if args.command == "eval":
             return _cmd_eval(config, out_dir)
-        return _cmd_emit_fig(config, out_dir)
+        return _cmd_emit_fig(out_dir)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

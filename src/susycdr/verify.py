@@ -30,6 +30,7 @@ __all__ = [
     "positive_diffusion_x_max",
     "evolve_oracle",
     "evolve_window",
+    "grid_fields",
     "run_suite",
     "GRAM_MAX_DEGREE",
 ]
@@ -506,6 +507,27 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec,
     return EvolveReport(entries=tuple(entries), ratios=ratios)
 
 
+def grid_fields(system: CdrSystem, grid: GridSpec):
+    """(levels, (P, D, C, R)) of each block of ``LEVEL_BLOCK`` grid time
+    levels, in time order, each field a (len(levels), nx) array from one
+    field evaluation. Raises ValueError after the last block when a field
+    is not finite at some grid point, naming the first such field and its
+    count over the whole grid."""
+    x, ts = grid.x_points(), grid.t_points()
+    bad = np.zeros(4, dtype=np.int64)
+    for start in range(0, grid.nt, LEVEL_BLOCK):
+        levels = ts[start:start + LEVEL_BLOCK]
+        fields = eval_fields(system, x[None, :], levels[:, None])
+        bad += [np.count_nonzero(~np.isfinite(values)) for values in fields]
+        yield levels, fields
+    for name, count in zip("PDCR", bad.tolist()):
+        if count:
+            raise ValueError(
+                f"field {name} is not finite at {count} of {grid.nx * grid.nt} "
+                f"grid points for omega={system.family.omega:g}, "
+                f"ell={system.family.ell:g}: the closed form overflows there")
+
+
 def _check_allowed_intervals(system: CdrSystem, grid: GridSpec):
     """ValueError when [grid.x_min, grid.x_max] misses the classically
     allowed interval of the solution or the diffusion state: a grid that
@@ -525,22 +547,6 @@ def _check_allowed_intervals(system: CdrSystem, grid: GridSpec):
             f"interval [{x_lo:.6g}, {x_hi:.6g}] of the {role} state (n={state.n}, "
             f"s={state.s}) for omega={family.omega:g}, ell={family.ell:g} and "
             "holds only its tail")
-
-
-def _check_p_nonzero(system: CdrSystem, grid: GridSpec):
-    """ValueError when P is 0 at every x of some grid time level: each
-    residual row there compares zeros and passes. One block of
-    ``LEVEL_BLOCK`` levels at a time, as in :func:`pde_residual`."""
-    x, ts = grid.x_points(), grid.t_points()
-    for start in range(0, grid.nt, LEVEL_BLOCK):
-        levels = ts[start:start + LEVEL_BLOCK]
-        p = eval_fields(system, x[None, :], levels[:, None], "P")[0]
-        zero = np.flatnonzero(~p.any(axis=1))
-        if zero.size:
-            raise ValueError(
-                f"config field 'grid': P is 0 at every x in [{grid.x_min:g}, "
-                f"{grid.x_max:g}] at time level t = {levels[zero[0]]:.6g} (it "
-                "underflows): the residual rows would compare zeros there")
 
 
 def evolve_window(system: CdrSystem, grid: GridSpec) -> GridSpec:
@@ -608,12 +614,19 @@ _VERIFY_ROWS = (
 def run_suite(system: CdrSystem, grid: GridSpec, tolerances: dict,
               tol_override: float | None = None) -> list:
     """(report key, label, record, value, threshold, ok) of every row, in
-    table order, once the grid meets both states' allowed intervals, P is
-    not 0 on a whole time level of it and :func:`evolve_window` is not
-    empty (else ValueError naming the field). ``tol_override`` replaces
-    every bound that is not a (low, high) pair."""
+    table order; ``tol_override`` replaces every bound that is not a
+    (low, high) pair. Before any oracle it makes one :func:`grid_fields`
+    pass and checks in turn: every field is finite on the grid, the grid
+    meets both states' allowed intervals, P is not 0 on a whole time level,
+    and :func:`evolve_window` is not empty (else ValueError naming the field)."""
+    zero_p = np.concatenate([levels[~p.any(axis=1)]
+                             for levels, (p, *_) in grid_fields(system, grid)])
     _check_allowed_intervals(system, grid)
-    _check_p_nonzero(system, grid)
+    if zero_p.size:
+        raise ValueError(
+            f"config field 'grid': P is 0 at every x in [{grid.x_min:g}, "
+            f"{grid.x_max:g}] at time level t = {zero_p[0]:.6g} (it "
+            "underflows): the residual rows would compare zeros there")
     window = evolve_window(system, grid)
     rows = []
     for key, label, run_oracle, metric, tol_key in _VERIFY_ROWS:

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ class TestParseConfig:
     def test_non_numeric_field_rejected(self):
         with pytest.raises(ConfigError, match="ell"):
             parse_config(dict(DEFAULT_CONFIG, ell="one"))
+
+    @pytest.mark.parametrize("data,field", [
+        ({"case": "fpe", "s": 1, "n": 2, "m": 5, "n_prime": 7}, "m"),
+        ({"case": "case_a", "n": 2, "m": 1, "s": 0}, "s"),
+        ({"case": "case_b", "n": 3, "s": 1, "n_prime": 1, "s_prime": 3,
+          "m": 0}, "m"),
+    ], ids=["fpe", "case_a", "case_b"])
+    def test_other_case_index_field_named(self, data, field):
+        # an unread index field would run on a system it does not describe
+        base = {"omega": 1.0, "ell": 1.0, "alpha": 0.8}
+        with pytest.raises(ConfigError, match=(
+                f"config field '{field}' is not read by case {data['case']}$")):
+            parse_config({**base, **data})
 
     def test_fpe_and_case_a_index_requirements(self):
         fpe = {"omega": 1.0, "ell": 1.0, "alpha": 1.0, "case": "fpe",
@@ -155,22 +169,27 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, command, below):
 
 class TestEvalCommand:
     def test_csv_roundtrip_bit_exact(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            grid={"x_min": 0.5, "x_max": 2.0, "nx": 8,
-                  "t_min": 0.5, "t_max": 2.0, "nt": 3},
-        )
-        out_dir = tmp_path / "out"
-        assert run(["--config", str(config), "--out", str(out_dir), "eval"]) == 0
-        lines = (out_dir / "fields.csv").read_text().splitlines()
-        assert lines[0] == "x,t,P,D,C,R"
-        assert len(lines) == 1 + 8 * 3
+        # nt = 37 writes blocks of 16, 16 and 5 time levels
+        for nt in (3, 37):
+            config = write_config(
+                tmp_path,
+                grid={"x_min": 0.5, "x_max": 2.0, "nx": 8,
+                      "t_min": 0.5, "t_max": 2.0, "nt": nt},
+            )
+            out_dir = tmp_path / f"out{nt}"
+            assert run(["--config", str(config), "--out", str(out_dir),
+                        "eval"]) == 0
+            lines = (out_dir / "fields.csv").read_text().splitlines()
+            assert lines[0] == "x,t,P,D,C,R"
+            assert len(lines) == 1 + 8 * nt
 
-        system = parse_config(json.loads(config.read_text())).build()
-        for row in lines[1:]:
-            x, t, p, d, c, r = (float(v) for v in row.split(","))
-            pe, de, ce, re = eval_fields(system, x, t)
-            assert (p, d, c, r) == (pe, de, ce, re)  # bit-for-bit
+            system = parse_config(json.loads(config.read_text())).build()
+            ts = np.linspace(0.5, 2.0, nt)
+            for k, row in enumerate(lines[1:]):
+                x, t, p, d, c, r = (float(v) for v in row.split(","))
+                assert t == ts[k // 8]
+                pe, de, ce, re = eval_fields(system, x, t)
+                assert (p, d, c, r) == (pe, de, ce, re)  # bit-for-bit
 
     @pytest.mark.parametrize("cfg", [
         {"omega": 1.3, "ell": 0.8, "alpha": 1.0, "case": "fpe", "s": 1,
@@ -198,24 +217,32 @@ class TestEvalCommand:
         assert capsys.readouterr().out == (
             f"wrote {path} ({grid.nx * grid.nt} rows)\n")
 
-    @pytest.mark.parametrize("command,omega,ell,bad", [
-        pytest.param("eval", 4.0, 1e200, 1600, id="4.0-1e+200-1600"),
-        pytest.param("eval", 1.0, 1e200, 1600, id="1.0-1e+200-1600"),
-        pytest.param("verify", 4.0, 1e200, 1600, id="verify-4.0-1e+200-1600"),
-        pytest.param("verify", 1.0, 1e200, 1600, id="verify-1.0-1e+200-1600"),
+    @pytest.mark.parametrize("command,omega,ell,grid,bad,total", [
+        pytest.param("eval", 4.0, 1e200, {}, 1600, 1600, id="4.0-1e+200-1600"),
+        pytest.param("eval", 1.0, 1e200, {}, 1600, 1600, id="1.0-1e+200-1600"),
+        pytest.param("verify", 4.0, 1e200, {}, 1600, 1600,
+                     id="verify-4.0-1e+200-1600"),
+        pytest.param("verify", 1.0, 1e200, {}, 1600, 1600,
+                     id="verify-1.0-1e+200-1600"),
+        # three blocks of levels: the count is summed over all of them
+        pytest.param("eval", 4.0, 1e200, {"nx": 10, "nt": 40}, 400, 400,
+                     id="4.0-1e+200-400-nt40"),
+        pytest.param("verify", 4.0, 1e200, {"nx": 10, "nt": 40}, 400, 400,
+                     id="verify-4.0-1e+200-400-nt40"),
     ])
-    def test_non_finite_field_exits_2_before_writing(self, tmp_path, capsys,
-                                                     command, omega, ell, bad):
+    def test_non_finite_field_exits_2_before_writing(
+            self, tmp_path, capsys, command, omega, ell, grid, bad, total):
         # L_2^a(q) is about a^2 / 2, which overflows for a = ell + 1/2 = 1e200
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"omega": omega, "ell": ell, "alpha": 1.0,
-                                      "case": "fpe", "n": 2, "s": 0}))
+                                      "case": "fpe", "n": 2, "s": 0,
+                                      "grid": grid}))
         out_dir = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
             code = run(["--config", str(config), "--out", str(out_dir), command])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"field P is not finite at {bad} of 1600 grid points" in err
+        assert f"field P is not finite at {bad} of {total} grid points" in err
         assert f"omega={omega:g}, ell={ell:g}" in err
         assert not out_dir.exists()
 
@@ -365,8 +392,10 @@ class TestVerifyCommand:
     def test_grid_above_the_allowed_interval_exits_2(self, tmp_path, capsys):
         # u_2 of (omega, ell) = (1, 1) is classically allowed on
         # [0.558, 5.07]; a grid from x = 7.5 on holds only its tail
-        config = write_config(tmp_path, case="fpe", n=2, s=0,
-                              grid={"x_min": 7.5, "x_max": 9.0})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "omega": 1.0, "ell": 1.0, "alpha": 1.0, "case": "fpe", "n": 2,
+            "s": 0, "grid": {"x_min": 7.5, "x_max": 9.0}}))
         assert run(["--config", str(config), "verify"]) == 2
         err = capsys.readouterr().err
         assert "config field 'grid.x_min' = 7.5 lies above x = 5.06839" in err
@@ -394,6 +423,19 @@ class TestVerifyCommand:
         assert ("config field 'grid': P is 0 at every x in [1400, 1430] at "
                 f"time level t = {t_zero} ") in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("nt", [100, 400, 1600])
+    def test_peak_memory_does_not_grow_with_nt(self, tmp_path, capsys, nt):
+        # the oracles and the field checks hold one block of levels at a
+        # time; the (nt, nx) fields of the whole grid are 5.1 MB at nt = 1600
+        config = write_config(tmp_path, grid={"nx": 100, "nt": nt})
+        tracemalloc.start()
+        try:
+            assert run(["--config", str(config), "verify"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
 
     def test_json_report_written_when_out_given(self, tmp_path):
         out = tmp_path / "report"

@@ -685,6 +685,28 @@ def test_broadcast_fields_equal_single_level_calls(family, case):
         assert np.array_equal(field, np.stack([f[k] for f in stacked]))
 
 
+class TestGridFields:
+    def test_blocks_equal_single_level_calls(self, fig1, monkeypatch):
+        # 37 levels: blocks of 16, 16 and 5, one field evaluation each
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eval_fields(*args)
+
+        monkeypatch.setattr(verify, "eval_fields", counted)
+        grid = GridSpec(nx=20, nt=37)
+        blocks = list(verify.grid_fields(fig1, grid))
+        assert [levels.size for levels, _ in blocks] == [16, 16, 5]
+        assert len(calls) == 3
+        ts = np.concatenate([levels for levels, _ in blocks])
+        assert np.array_equal(ts, grid.t_points())
+        for k in range(4):
+            ref = [eval_fields(fig1, grid.x_points(), float(t))[k] for t in ts]
+            got = np.concatenate([fields[k] for _, fields in blocks])
+            assert np.array_equal(got, np.stack(ref))
+
+
 def _per_level_evolve(system, x, t0, t1, nt):
     """CN solution and L2 error with one eval_fields call per time level."""
     dt = (t1 - t0) / nt
