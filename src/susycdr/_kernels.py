@@ -142,40 +142,39 @@ def _reduced_solve(levels, j, lower, diag, upper, rhs):
 # uniform grid, central differences, Dirichlet values supplied per step.
 # d_levels/c_levels hold D and C at every time level (nt+1, nx);
 # r_half holds R at the half steps (nt, nx). Second order in h and dt.
-# The band coefficients of all nt steps are built, and reduced to at most
-# THOMAS_ROWS rows, in one numpy pass; the caller bounds nt (verify hands
-# over one block of time levels per call).
+# Step j solves A_{j+1} p_{j+1} = (2 I - A_j) p_j + dt R, A_j = I - dt/2 L_j:
+# its right-hand side is 2 p - rhs_prev + dt R, and A_0 p_0 is formed only
+# when no rhs is handed in. The bands of all nt steps are built at an odd
+# width and reduced in one numpy pass; the caller bounds nt and hands P and
+# rhs on from call to call (verify, one block of time levels per call).
 # ---------------------------------------------------------------------------
 
-def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
-    nt = r_half.shape[0]
+def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h,
+              rhs=None):
     nx = p0.shape[0]
-    p = p0.copy()
-    inv_h2 = 1.0 / (h * h)
-    inv_2h = 0.5 / h
-    rhs = np.empty(nx)
-    # levels 0..nt: the old level of each step, then the new one
-    lo = d_levels[:, :-2] * inv_h2 + c_levels[:, :-2] * inv_2h
-    hi = d_levels[:, 2:] * inv_h2 - c_levels[:, 2:] * inv_2h
-
-    # spatial operator L at the old level (interior), for the explicit half
-    mid_old = -2.0 * d_levels[:-1, 1:-1] * inv_h2
-    dt_r = dt * r_half[:, 1:-1]
-
-    # implicit half at the new level
-    lower = np.zeros((nt, nx))
-    diag = np.ones((nt, nx))
-    upper = np.zeros((nt, nx))
-    lower[:, 1:-1] = -0.5 * dt * lo[1:]
-    diag[:, 1:-1] = 1.0 + dt * d_levels[1:, 1:-1] * inv_h2
-    upper[:, 1:-1] = -0.5 * dt * hi[1:]
+    width = nx + (nx > THOMAS_ROWS and nx % 2 == 0)  # odd where reduced
+    inner = slice(1, nx - 1)
+    inv_h2, inv_2h = 1.0 / (h * h), 0.5 / h
+    # A_j at levels 1..nt, and at level 0 when A_0 p0 is to be formed
+    d, c = (f[0 if rhs is None else 1:] for f in (d_levels, c_levels))
+    shape = (d.shape[0], width)
+    lower, diag, upper = np.zeros(shape), np.ones(shape), np.zeros(shape)
+    lower[:, inner] = -0.5 * dt * (d[:, :-2] * inv_h2 + c[:, :-2] * inv_2h)
+    diag[:, inner] = 1.0 + dt * d[:, 1:-1] * inv_h2
+    upper[:, inner] = -0.5 * dt * (d[:, 2:] * inv_h2 - c[:, 2:] * inv_2h)
+    buf = np.zeros(width)
+    if rhs is None:
+        buf[inner] = (lower[0, inner] * p0[:-2] + diag[0, inner] * p0[1:-1]
+                      + upper[0, inner] * p0[2:])
+        lower, diag, upper = lower[1:], diag[1:], upper[1:]
+    else:
+        buf[:nx] = rhs
     levels, red_lower, red_diag, red_upper = _reduce_bands(lower, diag, upper)
 
-    for j in range(nt):
-        rhs[1:-1] = p[1:-1] + 0.5 * dt * (
-            lo[j] * p[:-2] + mid_old[j] * p[1:-1] + hi[j] * p[2:]
-        ) + dt_r[j]
-        rhs[0] = bc_left[j + 1]
-        rhs[-1] = bc_right[j + 1]
-        p = _reduced_solve(levels, j, red_lower, red_diag, red_upper, rhs)
-    return p
+    p = p0
+    for j, source in enumerate(dt * r_half[:, 1:-1]):
+        buf[inner] = 2.0 * p[inner] - buf[inner] + source
+        buf[0] = bc_left[j + 1]
+        buf[nx - 1] = bc_right[j + 1]
+        p = _reduced_solve(levels, j, red_lower, red_diag, red_upper, buf)
+    return p[:nx], buf[:nx]

@@ -22,8 +22,10 @@ a field that is not finite on the grid, or a failed verify precondition.
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -268,18 +270,30 @@ def _cmd_build(config: RunConfig) -> int:
 
 
 def _cmd_eval(config: RunConfig, out_dir: Path) -> int:
+    """Write fields.csv one block of levels at a time, to a file beside it
+    that replaces it after the last block: an error (a field that is not
+    finite) removes that file and every directory made for it."""
     grid = config.grid
-    blocks = list(grid_fields(config.build(), grid))
+    blocks = grid_fields(config.build(), grid)
+    made = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "fields.csv"
+    part = out_dir / "fields.csv.part"
     x_cells = ["%.17g" % x for x in grid.x_points().tolist()]
-    with path.open("w") as fh:
-        fh.write("x,t,P,D,C,R\n")
-        for levels, fields in blocks:
-            for j, t in enumerate(levels.tolist()):
-                t_cell = "%.17g" % t
-                fh.write(_csv_rows([f"{x},{t_cell}" for x in x_cells],
-                                   [field[j] for field in fields]))
+    try:
+        with part.open("w") as fh:
+            fh.write("x,t,P,D,C,R\n")
+            for levels, fields in blocks:
+                for j, t in enumerate(levels.tolist()):
+                    t_cell = "%.17g" % t
+                    fh.write(_csv_rows([f"{x},{t_cell}" for x in x_cells],
+                                       [field[j] for field in fields]))
+    except BaseException:
+        part.unlink(missing_ok=True)
+        for directory in made:
+            directory.rmdir()
+        raise
+    os.replace(part, path)
     print(f"wrote {path} ({grid.nx * grid.nt} rows)")
     return 0
 

@@ -441,15 +441,15 @@ def _evolve_single(system, x, t0, t1, nt):
     # reuses their heap; held across it, glibc trims the top of the heap and
     # the next block faults it back in (about 5000 minor page faults per
     # certify round, against a handful).
-    p_num = p0
+    p_num, rhs = p0, None
     for start in range(0, nt, LEVEL_BLOCK):
         stop = min(start + LEVEL_BLOCK, nt)
         d_blk, c_blk = eval_fields(
             system, x[None, :], levels[start:stop + 1, None], "DC")
         r_blk = eval_fields(system, x[None, :], halves[start:stop, None], "R")[0]
-        p_num = _kernels.cn_evolve(p_num, d_blk, c_blk, r_blk,
-                                   bc[start:stop + 1, 0], bc[start:stop + 1, 1],
-                                   dt, h)
+        p_num, rhs = _kernels.cn_evolve(
+            p_num, d_blk, c_blk, r_blk, bc[start:stop + 1, 0],
+            bc[start:stop + 1, 1], dt, h, rhs)
         del d_blk, c_blk, r_blk
     p_exact = eval_fields(system, x, t1, "P")[0]
     blowup = 1e6 * max(float(np.max(np.abs(p0))), float(np.max(np.abs(p_exact))))
@@ -482,8 +482,8 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec,
     ``_kernels.cn_evolve`` steps P over exactly that block, and the block
     is dropped, so memory is O(nx * LEVEL_BLOCK) whatever nt is. A block's
     first level is the previous block's last; every field value equals
-    that of a per-level evaluation, so P carries the same bits as one
-    ``cn_evolve`` call over the whole window.
+    that of a per-level evaluation, so P and the right-hand side carry
+    the bits of one ``cn_evolve`` call over the whole window.
     """
     if grid.t_min == grid.t_max:
         raise ValueError(f"need t_min < t_max, got both {grid.t_min}")
@@ -512,12 +512,15 @@ def grid_fields(system: CdrSystem, grid: GridSpec):
     levels, in time order, each field a (len(levels), nx) array from one
     field evaluation. Raises ValueError after the last block when a field
     is not finite at some grid point, naming the first such field and its
-    count over the whole grid."""
+    count over the whole grid. The fields are evaluated with numpy's
+    overflow and invalid warnings off, as that count reports them."""
     x, ts = grid.x_points(), grid.t_points()
     bad = np.zeros(4, dtype=np.int64)
     for start in range(0, grid.nt, LEVEL_BLOCK):
         levels = ts[start:start + LEVEL_BLOCK]
-        fields = eval_fields(system, x[None, :], levels[:, None])
+        # not around the yield: numpy's errstate would reach the consumer
+        with np.errstate(over="ignore", invalid="ignore"):
+            fields = eval_fields(system, x[None, :], levels[:, None])
         bad += [np.count_nonzero(~np.isfinite(values)) for values in fields]
         yield levels, fields
     for name, count in zip("PDCR", bad.tolist()):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,55 @@ class TestEvalCommand:
         assert f"field P is not finite at {bad} of {total} grid points" in err
         assert f"omega={omega:g}, ell={ell:g}" in err
         assert not out_dir.exists()
+        assert not list(tmp_path.rglob("*.part"))
+
+    def test_non_finite_field_leaves_an_existing_out_dir_as_it_was(
+            self, tmp_path, capsys):
+        # the CSV is streamed to a file beside fields.csv; the error comes
+        # after the last block and removes that file, the old CSV stays
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"omega": 4.0, "ell": 1e200, "alpha": 1.0,
+                                      "case": "fpe", "n": 2, "s": 0,
+                                      "grid": {"nx": 10, "nt": 40}}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "fields.csv").write_text("old\n")
+        assert run(["--config", str(config), "--out", str(out_dir), "eval"]) == 2
+        assert "field P is not finite" in capsys.readouterr().err
+        assert [p.name for p in out_dir.iterdir()] == ["fields.csv"]
+        assert (out_dir / "fields.csv").read_text() == "old\n"
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    def test_overflowing_fields_exit_2_without_runtime_warnings(
+            self, tmp_path, capsys, command):
+        # grid_fields counts the non-finite values itself; numpy's overflow
+        # warnings would escape run() as errors here and print to stderr
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"omega": 4.0, "ell": 1e200, "alpha": 1.0,
+                                      "case": "fpe", "s": 0, "n": 2}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["--config", str(config), "--out", str(tmp_path / "out"),
+                        command])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: field P is not finite at 1600 of 1600 grid points" in err
+        assert "RuntimeWarning" not in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("nt", [100, 400, 1600])
+    def test_peak_memory_does_not_grow_with_nt(self, tmp_path, capsys, nt):
+        # eval writes one block of levels at a time; the (nt, nx) fields of
+        # the whole grid are 2.6 MB at nt = 400 and 10.2 MB at nt = 1600
+        config = write_config(tmp_path, grid={"nx": 200, "nt": nt})
+        tracemalloc.start()
+        try:
+            assert run(["--config", str(config), "--out", str(tmp_path / "out"),
+                        "eval"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
 
     @pytest.mark.parametrize("omega,ell", [(4.0, 285.0), (1.0, 300.0)],
                              ids=["4.0-285.0", "1.0-300.0"])

@@ -123,37 +123,36 @@ def _index_loop_thomas(lower, diag, upper, rhs):
     return np.array(x)
 
 
-def _per_step_cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
-    """Crank-Nicolson with the band coefficients built step by step."""
-    nt = r_half.shape[0]
-    nx = p0.shape[0]
-    p = p0.copy()
+def _implicit_bands(d, c, dt, h):
+    """Rows of A = I - dt/2 L at one level (D ``d``, C ``c``), identity
+    rows at both ends."""
+    nx = d.shape[0]
     inv_h2 = 1.0 / (h * h)
     inv_2h = 0.5 / h
-    for step in range(nt):
-        d_old = d_levels[step]
-        c_old = c_levels[step]
-        d_new = d_levels[step + 1]
-        c_new = c_levels[step + 1]
+    lower = np.zeros(nx)
+    diag = np.ones(nx)
+    upper = np.zeros(nx)
+    lower[1:-1] = -0.5 * dt * (d[:-2] * inv_h2 + c[:-2] * inv_2h)
+    diag[1:-1] = 1.0 + dt * d[1:-1] * inv_h2
+    upper[1:-1] = -0.5 * dt * (d[2:] * inv_h2 - c[2:] * inv_2h)
+    return lower, diag, upper
 
-        lo_old = d_old[:-2] * inv_h2 + c_old[:-2] * inv_2h
-        mid_old = -2.0 * d_old[1:-1] * inv_h2
-        hi_old = d_old[2:] * inv_h2 - c_old[2:] * inv_2h
-        rhs = np.empty(nx)
-        rhs[1:-1] = p[1:-1] + 0.5 * dt * (
-            lo_old * p[:-2] + mid_old * p[1:-1] + hi_old * p[2:]
-        ) + dt * r_half[step, 1:-1]
+
+def _per_step_cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h):
+    """Crank-Nicolson with the band coefficients built step by step; each
+    right-hand side is 2 p - (previous right-hand side) + dt R, the first
+    previous one A_0 p0."""
+    nt = r_half.shape[0]
+    p = p0.copy()
+    lower, diag, upper = _implicit_bands(d_levels[0], c_levels[0], dt, h)
+    rhs = np.zeros(p0.shape[0])
+    rhs[1:-1] = lower[1:-1] * p[:-2] + diag[1:-1] * p[1:-1] + upper[1:-1] * p[2:]
+    for step in range(nt):
+        rhs[1:-1] = 2.0 * p[1:-1] - rhs[1:-1] + dt * r_half[step, 1:-1]
         rhs[0] = bc_left[step + 1]
         rhs[-1] = bc_right[step + 1]
-
-        lower = np.zeros(nx)
-        diag = np.ones(nx)
-        upper = np.zeros(nx)
-        lower[1:-1] = -0.5 * dt * (d_new[:-2] * inv_h2 + c_new[:-2] * inv_2h)
-        diag[1:-1] = 1.0 + dt * d_new[1:-1] * inv_h2
-        upper[1:-1] = -0.5 * dt * (d_new[2:] * inv_h2 - c_new[2:] * inv_2h)
-
-        p = _index_loop_thomas(lower, diag, upper, rhs)
+        bands = _implicit_bands(d_levels[step + 1], c_levels[step + 1], dt, h)
+        p = _index_loop_thomas(*bands, rhs)
     return p
 
 
@@ -170,7 +169,7 @@ class TestCnKernel:
     def test_paths_agree(self):
         args = _cn_inputs(40, 12, seed=5)
         np.testing.assert_allclose(
-            _kernels.cn_evolve(*args), _dense_crank_nicolson(*args),
+            _kernels.cn_evolve(*args)[0], _dense_crank_nicolson(*args),
             rtol=1e-12, atol=1e-14,
         )
 
@@ -183,11 +182,33 @@ class TestCnKernel:
         # their bits; odd-even reduction above that reorders the arithmetic.
         for nx in (40, 200):
             args = _cn_inputs(nx, nt, seed=nt)
-            got, ref = _kernels.cn_evolve(*args), _per_step_cn_evolve(*args)
+            got, ref = _kernels.cn_evolve(*args)[0], _per_step_cn_evolve(*args)
             if nx <= _kernels.THOMAS_ROWS:
                 assert np.array_equal(got, ref)
             else:
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+
+    # no reduction, and two levels of odd-even reduction
+    @pytest.mark.parametrize("nx", [40, 200])
+    def test_returned_rhs_solves_the_last_implicit_system(self, nx):
+        p0, d, c, r, bcl, bcr, dt, h = args = _cn_inputs(nx, 7, seed=nx)
+        p, rhs = _kernels.cn_evolve(*args)
+        implicit = np.eye(nx) - 0.5 * dt * _dense_operator(d[-1], c[-1], h)
+        np.testing.assert_allclose(implicit @ p, rhs, rtol=1e-13)
+        assert (rhs[0], rhs[-1]) == (bcl[-1], bcr[-1])
+
+    # blocks of 16, 16 and 5 steps, as verify hands them over
+    @pytest.mark.parametrize("nx", [40, 200])
+    def test_handing_p_and_rhs_on_equals_one_call(self, nx):
+        p0, d, c, r, bcl, bcr, dt, h = _cn_inputs(nx, 37, seed=nx)
+        whole_p, whole_rhs = _kernels.cn_evolve(p0, d, c, r, bcl, bcr, dt, h)
+        p, rhs = p0, None
+        for start, stop in ((0, 16), (16, 32), (32, 37)):
+            p, rhs = _kernels.cn_evolve(
+                p, d[start:stop + 1], c[start:stop + 1], r[start:stop],
+                bcl[start:stop + 1], bcr[start:stop + 1], dt, h, rhs)
+        assert np.array_equal(p, whole_p)
+        assert np.array_equal(rhs, whole_rhs)
 
     # no reduction at either parity, one level with and without padding,
     # padding at both of two levels, three levels
@@ -201,7 +222,7 @@ class TestCnKernel:
                  np.full((1, nx), -0.25))
         assert len(_kernels._reduce_bands(*bands)[0]) == levels
         np.testing.assert_allclose(
-            _kernels.cn_evolve(*args), _dense_crank_nicolson(*args),
+            _kernels.cn_evolve(*args)[0], _dense_crank_nicolson(*args),
             rtol=1e-12, atol=1e-14,
         )
 

@@ -718,7 +718,7 @@ def _per_level_evolve(system, x, t0, t1, nt):
         np.array([f[1] for f in levels]), np.array([f[2] for f in levels]),
         r_half, np.array([f[0][0] for f in levels]),
         np.array([f[0][-1] for f in levels]), dt, x[1] - x[0],
-    )
+    )[0]
     p_exact = eval_fields(system, x, t1)[0]
     return p_num, float(np.sqrt((x[1] - x[0]) * np.sum((p_num - p_exact) ** 2)))
 
