@@ -69,34 +69,38 @@ def thomas_solve(lower, diag, upper, rhs):
 
 # ---------------------------------------------------------------------------
 # Odd-even (cyclic) reduction of a block of tridiagonal systems, rows as in
-# thomas_solve, one system per row of the (m, n) bands. Each level pads the
-# systems to odd length with identity rows, then eliminates the odd rows:
-# even row i gains the factors alpha = -lower[i]/diag[i-1] and
-# gamma = -upper[i]/diag[i+1]. Levels repeat until at most THOMAS_ROWS rows
-# remain for the sweep, which is then the only per-element Python loop.
+# thomas_solve, one system per row of the (m, n) bands. The caller pads the
+# systems once with identity rows to a width 2^L q + 1 with
+# q + 1 <= THOMAS_ROWS (_padded_width), which stays odd at every level. Each
+# level eliminates the odd rows: even row i gains the factors
+# alpha = -lower[i]/diag[i-1] and gamma = -upper[i]/diag[i+1]. Levels repeat
+# until at most THOMAS_ROWS rows remain for the sweep, which is then the only
+# per-element Python loop.
 # ---------------------------------------------------------------------------
 
 THOMAS_ROWS = 64
 
 
-def _pad_odd(band, fill):
-    """``band`` with one more column of ``fill`` if its width is even
-    (np.pad takes about 6x as long at these sizes)."""
-    if band.shape[1] % 2:
-        return band
-    return np.concatenate((band, np.full((band.shape[0], 1), fill)), axis=1)
+def _padded_width(nx):
+    """The smallest width 2^L q + 1 >= ``nx`` with q + 1 <= THOMAS_ROWS:
+    ``nx`` itself up to THOMAS_ROWS (no level runs), and above that a width
+    that stays odd at each of its L levels and leaves q + 1 rows."""
+    if nx <= THOMAS_ROWS:
+        return nx
+    step = 2
+    while nx - 1 > step * (THOMAS_ROWS - 1):
+        step *= 2
+    return step * -(-(nx - 1) // step) + 1
 
 
 def _reduce_bands(lower, diag, upper):
-    """Levels of odd-even elimination of the (m, n) bands, and the reduced
-    bands. Each level is (n, alpha, gamma, 1/b, a/b, c/b): its row count
-    before padding, the factors of the even rows and those of the odd
-    (eliminated) rows. An exactly zero pivot raises ZeroDivisionError."""
+    """Levels of odd-even elimination of the (m, n) bands, n from
+    :func:`_padded_width`, and the reduced bands. Each level is
+    (alpha, gamma, 1/b, a/b, c/b): the factors of the even rows and those of
+    the odd (eliminated) rows. An exactly zero pivot raises
+    ZeroDivisionError."""
     levels = []
     while lower.shape[1] > THOMAS_ROWS:
-        n = lower.shape[1]
-        lower, diag, upper = (_pad_odd(lower, 0.0), _pad_odd(diag, 1.0),
-                              _pad_odd(upper, 0.0))
         b_odd = diag[:, 1::2]
         if not b_odd.all():
             raise ZeroDivisionError("zero pivot in an eliminated row")
@@ -112,7 +116,7 @@ def _reduce_bands(lower, diag, upper):
         lower[:, 1:] = alpha * a_odd
         upper = np.zeros_like(diag)
         upper[:, :-1] = gamma * c_odd
-        levels.append((n, alpha, gamma, inv_b, a_odd * inv_b, c_odd * inv_b))
+        levels.append((alpha, gamma, inv_b, a_odd * inv_b, c_odd * inv_b))
     return levels, lower, diag, upper
 
 
@@ -120,20 +124,18 @@ def _reduced_solve(levels, j, lower, diag, upper, rhs):
     """Solve system j of a reduced block: reduce ``rhs`` level by level,
     sweep the reduced system, then fill in the eliminated rows."""
     kept = []
-    for n, alpha, gamma, _, _, _ in levels:
-        if n % 2 == 0:
-            rhs = np.append(rhs, 0.0)
+    for alpha, gamma, _, _, _ in levels:
         odd = rhs[1::2]
         rhs = rhs[::2].copy()
         rhs[1:] += alpha[j] * odd
         rhs[:-1] += gamma[j] * odd
         kept.append(odd)
     x = thomas_solve(lower[j], diag[j], upper[j], rhs)
-    for (n, _, _, inv_b, a_b, c_b), odd in zip(reversed(levels), reversed(kept)):
+    for (_, _, inv_b, a_b, c_b), odd in zip(reversed(levels), reversed(kept)):
         full = np.empty(2 * x.shape[0] - 1)
         full[::2] = x
         full[1::2] = odd * inv_b[j] - a_b[j] * x[:-1] - c_b[j] * x[1:]
-        x = full[:n]
+        x = full
     return x
 
 
@@ -144,15 +146,16 @@ def _reduced_solve(levels, j, lower, diag, upper, rhs):
 # r_half holds R at the half steps (nt, nx). Second order in h and dt.
 # Step j solves A_{j+1} p_{j+1} = (2 I - A_j) p_j + dt R, A_j = I - dt/2 L_j:
 # its right-hand side is 2 p - rhs_prev + dt R, and A_0 p_0 is formed only
-# when no rhs is handed in. The bands of all nt steps are built at an odd
-# width and reduced in one numpy pass; the caller bounds nt and hands P and
-# rhs on from call to call (verify, one block of time levels per call).
+# when no rhs is handed in. The bands of all nt steps are built once, padded
+# to _padded_width, and reduced in one numpy pass; the caller bounds nt and
+# hands P and rhs on from call to call (verify, one block of time levels per
+# call).
 # ---------------------------------------------------------------------------
 
 def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h,
               rhs=None):
     nx = p0.shape[0]
-    width = nx + (nx > THOMAS_ROWS and nx % 2 == 0)  # odd where reduced
+    width = _padded_width(nx)
     inner = slice(1, nx - 1)
     inv_h2, inv_2h = 1.0 / (h * h), 0.5 / h
     # A_j at levels 1..nt, and at level 0 when A_0 p0 is to be formed

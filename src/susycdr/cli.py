@@ -33,8 +33,7 @@ import numpy as np
 from .cdr import (CaseTag, CdrSystem, build_case_a, build_case_b, build_fpe,
                   eval_fields, swap)
 from .quantum import OscillatorParams, RadialOscillatorFamily
-from .verify import (GRAM_MAX_DEGREE, GridSpec, ResidualReport, grid_fields,
-                     run_suite)
+from .verify import GridSpec, ResidualReport, grid_fields, run_suite
 
 __all__ = ["main", "run", "RunConfig", "DEFAULT_CONFIG"]
 
@@ -300,12 +299,6 @@ def _cmd_eval(config: RunConfig, out_dir: Path) -> int:
 
 def _cmd_verify(config: RunConfig, tol_override: float | None,
                 out_dir: Path | None) -> int:
-    for key in ("n", "m", "n_prime"):
-        if config.indices.get(key, 0) > GRAM_MAX_DEGREE:
-            raise ConfigError(
-                f"config field '{key}' must be at most {GRAM_MAX_DEGREE} for "
-                f"verify, got {config.indices[key]}: its Gram integrates "
-                f"states up to degree {GRAM_MAX_DEGREE}")
     rows = run_suite(config.build(), config.grid, config.tolerances, tol_override)
 
     width = max(len(row[1]) for row in rows) + 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .cdr import CdrSystem, eval_fields
+from .cdr import CaseTag, CdrSystem, eval_fields
 from .mathfn import gaussian_tail_cutoff, integrate
 from .quantum import Eigenstate, RadialOscillatorFamily
 
@@ -37,6 +37,11 @@ __all__ = [
 
 # Highest n_max of orthonormality_matrix.
 GRAM_MAX_DEGREE = 8
+
+# The config field that sets the diffusion state's degree, by case (an fpe
+# system's one state has the solution's degree n).
+_DIFFUSION_DEGREE_FIELD = {CaseTag.FPE: "n", CaseTag.CASE_A: "m",
+                           CaseTag.CASE_B: "n_prime"}
 
 # Time levels per blocked numpy pass of the PDE residual and of the CN
 # oracle. Blocks bound the temporaries (and peak RSS).
@@ -618,10 +623,19 @@ def run_suite(system: CdrSystem, grid: GridSpec, tolerances: dict,
               tol_override: float | None = None) -> list:
     """(report key, label, record, value, threshold, ok) of every row, in
     table order; ``tol_override`` replaces every bound that is not a
-    (low, high) pair. Before any oracle it makes one :func:`grid_fields`
-    pass and checks in turn: every field is finite on the grid, the grid
+    (low, high) pair. Before any oracle it checks in turn: both states'
+    degrees are at most ``GRAM_MAX_DEGREE``; then, from one
+    :func:`grid_fields` pass, every field is finite on the grid, the grid
     meets both states' allowed intervals, P is not 0 on a whole time level,
     and :func:`evolve_window` is not empty (else ValueError naming the field)."""
+    for key, state in (("n", system.y_state),
+                       (_DIFFUSION_DEGREE_FIELD[system.case_tag],
+                        system.sigma_state)):
+        if state.n > GRAM_MAX_DEGREE:
+            raise ValueError(
+                f"config field '{key}' must be at most {GRAM_MAX_DEGREE} for "
+                f"verify, got {state.n}: its Gram integrates states up to "
+                f"degree {GRAM_MAX_DEGREE}")
     zero_p = np.concatenate([levels[~p.any(axis=1)]
                              for levels, (p, *_) in grid_fields(system, grid)])
     _check_allowed_intervals(system, grid)

@@ -4,7 +4,6 @@ import json
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -282,19 +281,18 @@ class TestEvalCommand:
         assert "RuntimeWarning" not in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("nt", [100, 400, 1600])
-    def test_peak_memory_does_not_grow_with_nt(self, tmp_path, capsys, nt):
+    # nt is the small grid; the check also runs 4 nt levels
+    @pytest.mark.parametrize("nt", [100])
+    def test_peak_memory_does_not_grow_with_nt(self, tmp_path, capsys,
+                                               peak_growth_check, nt):
         # eval writes one block of levels at a time; the (nt, nx) fields of
-        # the whole grid are 2.6 MB at nt = 400 and 10.2 MB at nt = 1600
-        config = write_config(tmp_path, grid={"nx": 200, "nt": nt})
-        tracemalloc.start()
-        try:
-            assert run(["--config", str(config), "--out", str(tmp_path / "out"),
-                        "eval"]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_500_000
+        # the whole grid are 1.3 MB at nt = 400
+        def run_eval(levels):
+            config = write_config(tmp_path, grid={"nx": 100, "nt": levels})
+            assert run(["--config", str(config), "--out",
+                        str(tmp_path / "out"), "eval"]) == 0
+
+        peak_growth_check(run_eval, nt, 4 * nt, 1_500_000)
 
     @pytest.mark.parametrize("omega,ell", [(4.0, 285.0), (1.0, 300.0)],
                              ids=["4.0-285.0", "1.0-300.0"])
@@ -474,18 +472,17 @@ class TestVerifyCommand:
                 f"time level t = {t_zero} ") in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("nt", [100, 400, 1600])
-    def test_peak_memory_does_not_grow_with_nt(self, tmp_path, capsys, nt):
+    # nt is the small grid; the check also runs 4 nt levels
+    @pytest.mark.parametrize("nt", [100])
+    def test_peak_memory_does_not_grow_with_nt(self, tmp_path, capsys,
+                                               peak_growth_check, nt):
         # the oracles and the field checks hold one block of levels at a
-        # time; the (nt, nx) fields of the whole grid are 5.1 MB at nt = 1600
-        config = write_config(tmp_path, grid={"nx": 100, "nt": nt})
-        tracemalloc.start()
-        try:
+        # time; the (nt, nx) fields of the whole grid are 1.3 MB at nt = 400
+        def run_verify(levels):
+            config = write_config(tmp_path, grid={"nx": 100, "nt": levels})
             assert run(["--config", str(config), "verify"]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_500_000
+
+        peak_growth_check(run_verify, nt, 4 * nt, 1_500_000)
 
     def test_json_report_written_when_out_given(self, tmp_path):
         out = tmp_path / "report"

@@ -211,20 +211,34 @@ class TestCnKernel:
         assert np.array_equal(rhs, whole_rhs)
 
     # no reduction at either parity, one level with and without padding,
-    # padding at both of two levels, three levels
+    # two levels padded from 130 to 133 and from 200 to 201, three levels
     @pytest.mark.parametrize("nx, levels", [
         (8, 0), (9, 0), (10, 0), (33, 0), (64, 0), (65, 1), (66, 1),
         (130, 2), (200, 2), (401, 3)])
     def test_reduced_systems_match_dense_solve(self, nx, levels):
         assert _kernels.THOMAS_ROWS == 64
         args = _cn_inputs(nx, 20, seed=nx)
-        bands = (np.full((1, nx), -0.25), np.full((1, nx), 1.5),
-                 np.full((1, nx), -0.25))
+        width = _kernels._padded_width(nx)
+        bands = (np.full((1, width), -0.25), np.full((1, width), 1.5),
+                 np.full((1, width), -0.25))
         assert len(_kernels._reduce_bands(*bands)[0]) == levels
         np.testing.assert_allclose(
             _kernels.cn_evolve(*args)[0], _dense_crank_nicolson(*args),
             rtol=1e-12, atol=1e-14,
         )
+
+    def test_padded_width_is_the_smallest_odd_at_every_level(self):
+        def odd_at_every_level(width):
+            while width > _kernels.THOMAS_ROWS:
+                if width % 2 == 0:
+                    return False
+                width = (width + 1) // 2
+            return True
+
+        for nx in range(1, 1100):
+            width = _kernels._padded_width(nx)
+            assert width >= nx and odd_at_every_level(width)
+            assert not any(odd_at_every_level(w) for w in range(nx, width))
 
     def test_zero_pivot_in_eliminated_row_raises(self):
         # h = 0.5 and dt = 0.25 make row 1's pivot 1 + dt * D / h^2 exactly

@@ -4,7 +4,6 @@ counting, and the time-stepping cross-check."""
 import dataclasses
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,21 +418,17 @@ class TestPdeResidual:
         assert got.worst_point == (float(x[7]), float(ts[3]))
         assert got.max_rel == 0.5
 
-    @pytest.mark.parametrize("mode, nt", [
-        ("analytic", 200), ("analytic", 2000),
-        ("finite-difference", 20), ("finite-difference", 200),
-    ])
-    def test_peak_memory_does_not_grow_with_nt(self, fig1, mode, nt):
+    # nt is the small grid; the check also runs 4 nt levels
+    @pytest.mark.parametrize("mode, nt", [("analytic", 200),
+                                          ("finite-difference", 200)])
+    def test_peak_memory_does_not_grow_with_nt(self, fig1, peak_growth_check,
+                                               mode, nt):
         # one block of 16 levels at nx = 400 is 51 kB per array; a single
-        # (nt, nx) float array at nt = 2000 is 6.4 MB
-        grid = GridSpec(nx=400, nt=nt)
-        tracemalloc.start()
-        try:
-            pde_residual(fig1, grid, mode=mode)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+        # (nt, nx) float array at nt = 800 is 2.6 MB
+        peak_growth_check(
+            lambda levels: pde_residual(fig1, GridSpec(nx=400, nt=levels),
+                                        mode=mode),
+            nt, 4 * nt, 2_000_000)
 
     def test_fd_mode_makes_nine_field_calls_per_block(self, fig1, monkeypatch):
         calls = []
@@ -465,6 +460,24 @@ class TestOrthonormality:
     def test_rejects_large_n_max(self, family):
         with pytest.raises(ValueError):
             orthonormality_matrix(family, s=0, n_max=9)
+
+    @pytest.mark.parametrize("key, build", [
+        ("n", lambda family: build_fpe(family, 1, 9, 0.8)),
+        ("m", lambda family: build_case_a(family, 0.8, 1, 9)),
+        ("n", lambda family: build_case_b(family, 0.8, 9, 0, 0, 9)),
+        ("n_prime", lambda family: build_case_b(family, 0.8, 0, 9, 9, 0)),
+    ], ids=["fpe", "case_a", "case_b-n", "case_b-n_prime"])
+    def test_run_suite_caps_degrees_before_any_field(self, family, monkeypatch,
+                                                     key, build):
+        def no_fields(*args):
+            raise AssertionError("a field was evaluated")
+
+        monkeypatch.setattr(verify, "grid_fields", no_fields)
+        with pytest.raises(ValueError, match=(
+                f"config field '{key}' must be at most 8 for verify, got 9: "
+                "its Gram integrates states up to degree 8")):
+            verify.run_suite(build(family), GridSpec(),
+                             DEFAULT_CONFIG["tolerances"])
 
     def test_rejects_negative_n_max(self, family):
         with pytest.raises(ValueError, match="n_max"):
@@ -740,18 +753,29 @@ class TestEvolveOracle:
             assert np.array_equal(p_num, ref_p)
             assert blocked_err == ref_err == err
 
-    @pytest.mark.parametrize("nt", [100, 400, 1600])
-    def test_peak_memory_does_not_grow_with_nt(self, fig1, nt):
+    @staticmethod
+    def _stepper(system):
+        """The CN stepper on 400 points of [0.2, x_hi] over t in [1, 2], as
+        a function of its step count."""
+        x = np.linspace(0.2, positive_diffusion_x_max(system, 8.0), 400)
+        return lambda nt: _evolve_single(system, x, 1.0, 2.0, nt)
+
+    # nt is the small grid; the check also runs 4 nt levels
+    @pytest.mark.parametrize("nt", [100])
+    def test_peak_memory_does_not_grow_with_nt(self, fig1, peak_growth_check,
+                                               nt):
         # one block of D, C and R at nx = 400 is 160 kB; the three
-        # (nt + 1, nx) arrays of the whole window are 15.4 MB at nt = 1600
-        x = np.linspace(0.2, positive_diffusion_x_max(fig1, 8.0), 400)
-        tracemalloc.start()
-        try:
-            _evolve_single(fig1, x, 1.0, 2.0, nt)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_500_000
+        # (nt + 1, nx) arrays of the whole window are 3.9 MB at nt = 400
+        peak_growth_check(self._stepper(fig1), nt, 4 * nt, 1_500_000)
+
+    def test_growth_check_fails_when_field_blocks_are_kept(
+            self, fig1, peak_growth_check, hoarding_eval_fields):
+        # each kept block of D, C and R adds about 160 kB: the peak grows by
+        # about 2.9 MB from 100 to 400 levels (the bound is lifted, so the
+        # growth alone fails)
+        with pytest.raises(AssertionError, match="peak grew by"):
+            peak_growth_check(self._stepper(fig1), 100, 400, math.inf)
+        assert hoarding_eval_fields
 
     def test_no_evolution_rejected(self, family):
         system = build_fpe(family, 0, 0, 1.0)
