@@ -20,6 +20,7 @@ a field that is not finite on the grid, or a failed verify precondition.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -118,12 +119,15 @@ def _require(data, key, kind, default=_REQUIRED, section=None):
         return default
     value = data[key]
     if kind is float:
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not math.isfinite(value)):
+        number = math.nan
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            with contextlib.suppress(OverflowError):  # an int beyond float range
+                number = float(value)
+        if not math.isfinite(number):
             raise ConfigError(
                 f"config field '{name}' must be a finite number, got {value!r}"
             )
-        return float(value)
+        return number
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(

@@ -74,10 +74,17 @@ def _laguerre_form(member: OscillatorParams, n: int):
     """(a, p, ln N) of u_n = N q^p exp(-q/2) L_n^a(q) for member parameters
     (omega, L): a = L + 1/2, p = (L + 1)/2 and
     N = (2 omega)^{1/4} sqrt(n! / Gamma(n + L + 3/2)), whose logarithm is
-    taken from lgamma (N itself underflows at large L)."""
+    taken from lgamma (N itself underflows at large L). ValueError naming
+    ell when that logarithm overflows (from L of about 2.5e305 on)."""
     big_l = member.ell
-    log_norm = 0.25 * math.log(2.0 * member.omega) + 0.5 * (
-        math.lgamma(n + 1.0) - math.lgamma(n + big_l + 1.5))
+    log_n_fact = math.lgamma(n + 1.0)
+    try:
+        log_gamma = math.lgamma(n + big_l + 1.5)
+    except OverflowError:
+        raise ValueError(
+            f"ell + s = {big_l:g} is too large: ln Gamma(n + ell + s + 3/2) "
+            f"in the normalization of u_{n} overflows") from None
+    log_norm = 0.25 * math.log(2.0 * member.omega) + 0.5 * (log_n_fact - log_gamma)
     return big_l + 0.5, 0.5 * (big_l + 1.0), log_norm
 
 

@@ -9,7 +9,7 @@ of these agree.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,57 +102,67 @@ class ResidualReport:
     mode: str
 
     def as_dict(self) -> dict:
-        """Plain-types view for JSON/CSV export (see the cli module)."""
-        worst = self.worst_point
-        if isinstance(worst, tuple):
-            worst = [float(v) for v in worst]
-        else:
-            worst = float(worst)
-        return {
-            "max_abs": self.max_abs,
-            "l2": self.l2,
-            "max_rel": self.max_rel,
-            "worst_point": worst,
-            "mode": self.mode,
-        }
+        """Plain-types view for JSON/CSV export (see the cli module); an
+        (x, t) worst point becomes a list."""
+        view = asdict(self)
+        if isinstance(self.worst_point, tuple):
+            view["worst_point"] = list(self.worst_point)
+        return view
 
 
-def _reduce(residual, scale):
-    """max |r|, the sum of r^2, and the flat index and value of the largest
-    normalized residual |r| / max(scale, floor) (the first NaN, else the
-    first maximum) of one residual array and its scale."""
-    residual = residual.ravel()
-    rel = np.abs(residual)
-    max_abs = np.max(rel)  # taken before rel is normalized in place
-    rel /= np.maximum(scale.ravel(), _SCALE_FLOOR)
-    idx = int(np.argmax(rel))
-    return max_abs, float(np.sum(residual * residual)), idx, float(rel[idx])
+def _residual_report(blocks, mode):
+    """The report of one residual row, the one reduction of every row.
 
-
-def _report(residual, scale, x, mode):
-    """Report over the points ``x``."""
-    max_abs, sum_sq, idx, max_rel = _reduce(residual, scale)
-    return ResidualReport(
-        max_abs=float(max_abs),
-        l2=math.sqrt(sum_sq / residual.size),
-        max_rel=max_rel,
-        worst_point=x[idx],
-        mode=mode,
-    )
+    ``blocks`` yields (residual, scale terms, point map) per block of
+    points, in order. Scale: at each point the largest magnitude of the
+    terms (arrays shaped like the residual, or one global value), floored
+    at ``_SCALE_FLOOR``; max_rel is the largest |residual| / scale. l2:
+    the root mean square over all points, its squares summed once per
+    block. Worst point: the point map of the flat index, within its
+    block, of the first NaN of |residual| / scale in block order, else of
+    the first maximum; a tie keeps the earlier point. A NaN residual or
+    scale, or an infinite residual over an infinite scale, makes max_rel
+    NaN at its first point, with no numpy warning; a NaN residual also
+    makes max_abs and l2 NaN.
+    """
+    max_abs = sum_sq = 0.0
+    size = 0
+    max_rel, worst = -math.inf, None
+    for residual, terms, point_map in blocks:
+        rel = np.abs(residual)
+        # np.maximum keeps a NaN; taken before rel is normalized in place
+        max_abs = np.maximum(max_abs, np.max(rel))
+        sum_sq += float(np.sum(residual * residual))
+        size += residual.size
+        scale = np.abs(terms[0])
+        for term in terms[1:]:
+            np.maximum(scale, np.abs(term), out=scale)
+        with np.errstate(invalid="ignore"):  # inf / inf is NaN
+            rel /= np.maximum(scale, _SCALE_FLOOR)
+        idx = int(np.argmax(rel))
+        block_rel = float(rel.flat[idx])
+        # a later block takes the worst point only with a larger value, or
+        # with the first NaN, as np.argmax over all points would
+        if block_rel > max_rel or (math.isnan(block_rel)
+                                   and not math.isnan(max_rel)):
+            max_rel, worst = block_rel, point_map(idx)
+    return ResidualReport(max_abs=float(max_abs), l2=math.sqrt(sum_sq / size),
+                          max_rel=max_rel, worst_point=worst, mode=mode)
 
 
 def schrodinger_residual(state: Eigenstate, grid: GridSpec) -> ResidualReport:
     """Residual of -u'' + (V_s - E) u = 0 on the x grid, analytic derivatives.
 
-    ``max_rel`` is normalized by the maximum of |u| over the grid, so a
-    unit max_rel means the residual is as large as the state itself.
+    ``max_rel`` is normalized by the maximum of |u| over the grid (a NaN
+    in u left out), so a unit max_rel means the residual is as large as
+    the state itself.
     """
     x = grid.x_points()
     u, _, u_dd = state.jet(x)
     v = state.family.potential(state.s, x)
     r = -u_dd + (v - state.energy) * u
-    scale = np.full_like(r, max(float(np.max(np.abs(u))), _SCALE_FLOOR))
-    return _report(r, scale, x, "analytic")
+    scale = np.max(np.abs(u), initial=0.0, where=~np.isnan(u))
+    return _residual_report([(r, (scale,), lambda i: float(x[i]))], "analytic")
 
 
 def ode_residual(system: CdrSystem, z_grid) -> ResidualReport:
@@ -179,10 +189,8 @@ def ode_residual(system: CdrSystem, z_grid) -> ResidualReport:
         - (tau_d + mu - sig_dd) * y
         + rho
     )
-    scale = np.maximum.reduce([
-        np.abs(sig * y_dd), np.abs(sig_dd * y), np.abs(mu * y), np.abs(rho),
-    ])
-    return _report(r, scale, z, "analytic")
+    terms = (sig * y_dd, sig_dd * y, mu * y, rho)
+    return _residual_report([(r, terms, lambda i: float(z[i]))], "analytic")
 
 
 def _time_column(ts, exponent):
@@ -257,18 +265,6 @@ def _fd_terms(system, x, ts, fd_step):
     return p, dt_p, dx_cp, dxx_dp, reac
 
 
-def _reduce_block(p, dt_p, dx_cp, dxx_dp, reac):
-    """:func:`_reduce` of one block of PDE terms,
-    r = dt_p + dx_cp - dxx_dp - reac."""
-    residual = dt_p + dx_cp
-    residual -= dxx_dp
-    residual -= reac
-    scale = np.abs(p)
-    for term in (dx_cp, dxx_dp, reac):
-        np.maximum(scale, np.abs(term), out=scale)
-    return _reduce(residual, scale)
-
-
 def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
                  fd_step: float | None = None) -> ResidualReport:
     """Residual of dP/dt + d/dx(CP) - d2/dx2(DP) - R over the (x, t) grid.
@@ -278,7 +274,7 @@ def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
     fields numerically (4th-order stencils, step ``fd_step`` or the
     per-point default; a given step must be a finite number above 0).
     ``max_rel`` normalizes pointwise by
-    max(|P|, |d/dx(CP)|, |d2/dx2(DP)|, |R|) plus a tiny floor.
+    max(|P|, |d/dx(CP)|, |d2/dx2(DP)|, |R|), floored at a tiny value.
 
     The terms are evaluated over blocks of ``LEVEL_BLOCK`` time levels,
     with the analytic time factors taken level by level, so every value
@@ -286,10 +282,9 @@ def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
     soon as its terms are in, and dropped when the next block's arrive,
     so memory is O(nx * LEVEL_BLOCK) whatever nt is. ``max_abs``,
     ``max_rel`` and ``worst_point`` equal those of one reduction over the
-    whole grid: a NaN anywhere makes max_abs, l2 and max_rel NaN and puts
-    worst_point at the first NaN in (t, x) order, and a tie keeps the
-    earlier point. ``l2`` is summed per block, so on more than one block
-    it may differ from a whole-grid sum in the last bit.
+    whole grid, in (t, x) order (see :func:`_residual_report` for the
+    NaN and tie rules). ``l2`` is summed per block, so on more than one
+    block it may differ from a whole-grid sum in the last bit.
     """
     if mode not in ("analytic", "finite-difference"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -297,35 +292,28 @@ def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
         raise ValueError(f"fd_step must be a finite number above 0, got {fd_step}")
     x = grid.x_points()
     ts = grid.t_points()
-    max_abs = sum_sq = 0.0
-    max_rel, worst = -math.inf, None
-    for start in range(0, grid.nt, LEVEL_BLOCK):
-        levels = ts[start:start + LEVEL_BLOCK]
-        # ``terms`` stays bound until the next block's terms replace it.
-        # Dropped before, the block's arrays leave the top of the heap
-        # free, glibc gives it back to the OS, and the next block faults
-        # it in again: at nx = 400, nt = 200 about 770 minor page faults
-        # per analytic call where holding them takes about 220.
-        if mode == "analytic":
-            terms = _analytic_terms(system, x, levels)
-        else:
-            terms = _fd_terms(system, x, levels, fd_step)
-        block_abs, block_sq, idx, block_rel = _reduce_block(*terms)
-        # np.maximum keeps a NaN; a later block takes the worst point only
-        # with a larger value, or with the first NaN, as np.argmax would.
-        max_abs = np.maximum(max_abs, block_abs)
-        sum_sq += block_sq
-        if block_rel > max_rel or (math.isnan(block_rel)
-                                   and not math.isnan(max_rel)):
-            j, i = divmod(idx, x.size)
-            max_rel, worst = block_rel, (float(x[i]), float(levels[j]))
-    return ResidualReport(
-        max_abs=float(max_abs),
-        l2=math.sqrt(sum_sq / (grid.nt * grid.nx)),
-        max_rel=max_rel,
-        worst_point=worst,
-        mode=mode,
-    )
+
+    def blocks():
+        for start in range(0, grid.nt, LEVEL_BLOCK):
+            levels = ts[start:start + LEVEL_BLOCK]
+            # ``terms`` stays bound until the next block's terms replace it.
+            # Dropped before, the block's arrays leave the top of the heap
+            # free, glibc gives it back to the OS, and the next block faults
+            # it in again: at nx = 400, nt = 200 about 770 minor page faults
+            # per analytic call where holding them takes about 220.
+            if mode == "analytic":
+                terms = _analytic_terms(system, x, levels)
+            else:
+                terms = _fd_terms(system, x, levels, fd_step)
+            p, dt_p, dx_cp, dxx_dp, reac = terms
+            residual = dt_p + dx_cp
+            residual -= dxx_dp
+            residual -= reac
+            yield residual, (p, dx_cp, dxx_dp, reac), (
+                lambda idx, levels=levels: (float(x[idx % x.size]),
+                                            float(levels[idx // x.size])))
+
+    return _residual_report(blocks(), mode)
 
 
 def orthonormality_matrix(family: RadialOscillatorFamily, s: int,

@@ -82,9 +82,13 @@ class TestParseConfig:
     ({"tolerence": {"pde_rel": 1e-20}}, "tolerence"),
     ({"grid": {"xmax": 3.0}}, "grid.xmax"),
     ({"tolerances": {"pde": 1e-20}}, "tolerances.pde"),
+    # JSON integers beyond float range
+    ({"omega": 10 ** 400}, "omega"),
+    ({"tolerances": {"pde_rel": 10 ** 400}}, "tolerances.pde_rel"),
 ], ids=["tolerance-str", "tolerances-list", "A-null", "A-str", "omega-nan",
         "alpha-inf", "alpha-zero", "alpha-negative", "grid-too-large",
-        "unknown-key", "grid-unknown-key", "tolerances-unknown-key"])
+        "unknown-key", "grid-unknown-key", "tolerances-unknown-key",
+        "omega-huge-int", "tolerance-huge-int"])
 def test_bad_number_field_exits_2_naming_it(tmp_path, capsys, override, field):
     path = write_config(tmp_path, **override)
     assert run(["--config", str(path), "verify"]) == 2
@@ -108,6 +112,21 @@ def test_tolerance_not_above_0_or_empty_band_exits_2(tmp_path, capsys,
     captured = capsys.readouterr()
     assert f"config field '{field}'" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["build", "eval", "verify"])
+def test_ell_at_the_float_limit_exits_2_naming_it(tmp_path, capsys, command):
+    # ln Gamma(n + ell + s + 3/2) of the states' normalization overflows
+    path = write_config(tmp_path, ell=1e306)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["--config", str(path), "--out", str(tmp_path / "out"),
+                    command])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ell + s = 1e+306 is too large")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])

@@ -81,7 +81,7 @@ def _dense_operator(d, c, h):
     for i in range(1, nx - 1):
         d2[i, i - 1:i + 2] = np.array([1.0, -2.0, 1.0]) / h ** 2
         d1[i, i - 1:i + 2] = np.array([-1.0, 0.0, 1.0]) / (2.0 * h)
-    return d2 @ np.diag(d) - d1 @ np.diag(c)
+    return d2 * d - d1 * c
 
 
 def _dense_crank_nicolson(p0, d, c, r, bcl, bcr, dt, h):

@@ -68,31 +68,40 @@ class _Scaled(_EnergyShifted):
         return tuple(self._factor * d for d in self._state.jet(x, order))
 
 
+def _plant(jet, plants):
+    """``jet`` with the planted (jet slot, index, value) entries."""
+    jet = [values.copy() for values in jet]
+    for slot, i, value in plants:
+        jet[slot][i] = value
+    return tuple(jet)
+
+
 class _Planted(_EnergyShifted):
-    """A true state whose u'' reads the planted (index, value) pairs."""
+    """A true state whose jet reads the planted entries."""
 
     def __init__(self, state, plants):
         super().__init__(state, 0.0)
         self._plants = plants
 
     def jet(self, x, order=2):
-        u, u_d, u_dd = self._state.jet(x, order)
-        u_dd = u_dd.copy()
-        for i, value in self._plants:
-            u_dd[i] = value
-        return u, u_d, u_dd
+        return _plant(self._state.jet(x, order), self._plants)
 
 
-# (x index, value) plants in a one-dimensional row; the first NaN is at 30
-ROW_PLANTS = pytest.mark.parametrize("plants", [
-    [(30, math.nan)],
-    [(30, math.nan), (50, math.nan)],
-    [(10, 1e100), (30, math.nan)],
-], ids=["nan", "two-nans", "large-then-nan"])
+# (jet slot, x index, value) plants in a one-dimensional row: slot 0 is the
+# state u (the ODE's y), slot 2 its second derivative; the first NaN is at 30
+ROW_PLANTS = [
+    pytest.param([(2, 30, math.nan)], id="nan"),
+    pytest.param([(2, 30, math.nan), (2, 50, math.nan)], id="two-nans"),
+    pytest.param([(2, 10, 1e100), (2, 30, math.nan)], id="large-then-nan"),
+    pytest.param([(0, 30, math.nan)], id="nan-in-u"),
+    pytest.param([(0, 10, 1e100), (0, 30, math.nan)], id="large-u-then-nan"),
+]
 
 
-def _assert_nan_at_first_nan(rep, x):
-    assert math.isnan(rep.max_abs) and math.isnan(rep.l2)
+def _assert_nan_at_first_nan(rep, x, plants):
+    # an inf in u makes the residual and the Schroedinger scale inf there
+    bad = math.nan if any(math.isnan(v) for *_, v in plants) else math.inf
+    assert repr((rep.max_abs, rep.l2)) == repr((bad, bad))
     assert math.isnan(rep.max_rel)
     assert rep.worst_point == x[30]
 
@@ -127,12 +136,15 @@ class TestSchrodingerResidual:
         rep = schrodinger_residual(family.eigenstate(1, 3), grid)
         assert grid.x_min <= rep.worst_point <= grid.x_max
 
-    @ROW_PLANTS
+    # an inf in u gives inf / inf in the reduction; not an ODE plant, as
+    # an inf in y meets inf - inf in the ODE residual's own sum
+    @pytest.mark.parametrize("plants", [
+        *ROW_PLANTS, pytest.param([(0, 30, math.inf)], id="inf-in-u")])
     def test_nan_reported_at_the_first_nan(self, family, plants):
         grid = GridSpec()
         rep = schrodinger_residual(_Planted(family.eigenstate(0, 2), plants),
                                    grid)
-        _assert_nan_at_first_nan(rep, grid.x_points())
+        _assert_nan_at_first_nan(rep, grid.x_points(), plants)
 
     def test_reads_u_and_u2_from_one_jet(self, family, laguerre_calls):
         # L_3^a, L_2^{a+1} and L_1^{a+2} once each, and no separate value call
@@ -151,21 +163,19 @@ class TestOdeResidual:
         rep = ode_residual(system, np.linspace(0.2, 8.0, 200))
         assert rep.max_abs <= 1e-13
 
-    @ROW_PLANTS
+    @pytest.mark.parametrize("plants", ROW_PLANTS)
     def test_nan_reported_at_the_first_nan(self, fig1, plants):
         fields = {f.name: getattr(fig1, f.name)
                   for f in dataclasses.fields(CdrSystem)}
 
         class _PlantedJets(CdrSystem):
             def jets(self, z):
-                (y, y_d, y_dd), sig_jet = super().jets(z)
-                y_dd = y_dd.copy()
-                for i, value in plants:
-                    y_dd[i] = value
-                return (y, y_d, y_dd), sig_jet
+                y_jet, sig_jet = super().jets(z)
+                return _plant(y_jet, plants), sig_jet
 
         z = np.linspace(0.2, 8.0, 400)
-        _assert_nan_at_first_nan(ode_residual(_PlantedJets(**fields), z), z)
+        _assert_nan_at_first_nan(ode_residual(_PlantedJets(**fields), z), z,
+                                 plants)
 
     def test_perturbed_reaction_responds_linearly(self, family):
         base = build_case_a(family, 1.0, n=1, m=0)
@@ -225,7 +235,8 @@ def _full_grid_report(terms, x, ts, mode):
     residual = (dt_p + dx_cp - dxx_dp - reac).ravel()
     scale = np.maximum.reduce(
         [np.abs(p), np.abs(dx_cp), np.abs(dxx_dp), np.abs(reac)]).ravel()
-    rel = np.abs(residual) / np.maximum(scale, 1e-30)
+    with np.errstate(invalid="ignore"):  # inf / inf is NaN
+        rel = np.abs(residual) / np.maximum(scale, 1e-30)
     idx = int(np.argmax(rel))
     j, i = divmod(idx, x.size)
     return ResidualReport(
@@ -358,16 +369,20 @@ class TestPdeResidual:
                     assert got == want
 
     @pytest.mark.parametrize("plants", [
-        [(3, 10, math.nan)],
-        [(3, 10, math.inf)],
-        [(3, 10, math.nan), (5, 2, math.inf)],
-        [(3, 10, math.inf), (5, 2, math.nan)],
-        [(3, 10, math.nan), (3, 12, math.nan)],
-    ], ids=["nan", "inf", "nan-then-inf", "inf-then-nan", "two-nans"])
+        [(1, 3, 10, math.nan)],
+        [(1, 3, 10, math.inf)],
+        [(1, 3, 10, math.nan), (1, 5, 2, math.inf)],
+        [(1, 3, 10, math.inf), (1, 5, 2, math.nan)],
+        [(1, 3, 10, math.nan), (1, 3, 12, math.nan)],
+        [(2, 3, 10, math.inf)],
+    ], ids=["nan", "inf", "nan-then-inf", "inf-then-nan", "two-nans",
+            "inf-in-dx_cp"])
     def test_non_finite_in_a_middle_block_reported_as_on_the_full_grid(
             self, fig1, monkeypatch, plants):
         # nt = 40: blocks of 16, 16 and 8 levels; the plants go into the
-        # second, as (level within the block, x index, value) of dt_p
+        # second, as (term, level within the block, x index, value), the
+        # term 1 for dt_p and 2 for dx_cp, where an inf is also in the
+        # scale: inf / inf makes max_rel NaN there
         grid = GridSpec(x_min=0.5, x_max=4.0, nx=30, t_min=0.5, t_max=2.0,
                         nt=40)
         x, ts = grid.x_points(), grid.t_points()
@@ -376,22 +391,24 @@ class TestPdeResidual:
         def planted(system, xx, levels):
             terms = _analytic_terms(system, xx, levels)
             if levels[0] == ts[middle]:
-                for j, i, value in plants:
-                    terms[1][j, i] = value
+                for term, j, i, value in plants:
+                    terms[term][j, i] = value
             return terms
 
         full = _analytic_terms(fig1, x, ts)
-        for j, i, value in plants:
-            full[1][middle + j, i] = value
+        for term, j, i, value in plants:
+            full[term][middle + j, i] = value
         want = _full_grid_report(full, x, ts, "analytic")
         monkeypatch.setattr(verify, "_analytic_terms", planted)
         got = pde_residual(fig1, grid)
         assert repr(got.as_dict()) == repr(want.as_dict())
-        first = min((j, i) for j, i, _ in plants)
-        if any(math.isnan(value) for _, _, value in plants):
+        first = min((j, i) for _, j, i, _ in plants)
+        if any(math.isnan(value) for *_, value in plants):
             assert math.isnan(got.max_abs) and math.isnan(got.l2)
             assert math.isnan(got.max_rel)
-            first = min((j, i) for j, i, value in plants if math.isnan(value))
+            first = min((j, i) for _, j, i, value in plants if math.isnan(value))
+        elif any(term == 2 for term, *_ in plants):
+            assert math.isnan(got.max_rel)
         assert got.worst_point == (float(x[first[1]]), float(ts[middle + first[0]]))
 
     def test_tie_between_blocks_keeps_the_earlier_level(self, fig1,
