@@ -93,91 +93,111 @@ def _padded_width(nx):
     return step * -(-(nx - 1) // step) + 1
 
 
-def _reduce_bands(lower, diag, upper):
-    """Levels of odd-even elimination of the (m, n) bands, n from
-    :func:`_padded_width`, and the reduced bands. Each level is
-    (alpha, gamma, 1/b, a/b, c/b): the factors of the even rows and those of
-    the odd (eliminated) rows. An exactly zero pivot raises
-    ZeroDivisionError."""
+def _reduce_bands(bands):
+    """Levels of odd-even elimination of the (3, m, n) bands (lower, diag,
+    upper), n from :func:`_padded_width`, and the reduced bands. Each level
+    is (alpha, gamma, 1/b, a/b, c/b): the factors of the even rows and those
+    of the odd (eliminated) rows. A level copies the odd and the even
+    columns of all three bands first, so every operation after reads
+    contiguous rows. An exactly zero pivot raises ZeroDivisionError."""
     levels = []
-    while lower.shape[1] > THOMAS_ROWS:
-        b_odd = diag[:, 1::2]
+    while bands.shape[2] > THOMAS_ROWS:
+        a_odd, b_odd, c_odd = bands[:, :, 1::2].copy()
+        bands = bands[:, :, ::2].copy()  # the even rows, reduced in place
+        lower, diag, upper = bands
         if not b_odd.all():
             raise ZeroDivisionError("zero pivot in an eliminated row")
         inv_b = 1.0 / b_odd
-        a_odd = lower[:, 1::2]
-        c_odd = upper[:, 1::2]
-        alpha = -lower[:, 2::2] * inv_b
-        gamma = -upper[:, :-1:2] * inv_b
-        diag = diag[:, ::2].copy()
-        diag[:, 1:] += alpha * c_odd
-        diag[:, :-1] += gamma * a_odd
-        lower = np.zeros_like(diag)
-        lower[:, 1:] = alpha * a_odd
-        upper = np.zeros_like(diag)
-        upper[:, :-1] = gamma * c_odd
+        alpha = -lower[:, 1:] * inv_b
+        gamma = -upper[:, :-1] * inv_b
+        np.add(diag[:, 1:], alpha * c_odd, out=diag[:, 1:])
+        np.add(diag[:, :-1], gamma * a_odd, out=diag[:, :-1])
+        lower[:, 0] = upper[:, -1] = 0.0
+        np.multiply(alpha, a_odd, out=lower[:, 1:])
+        np.multiply(gamma, c_odd, out=upper[:, :-1])
         levels.append((alpha, gamma, inv_b, a_odd * inv_b, c_odd * inv_b))
-    return levels, lower, diag, upper
-
-
-def _reduced_solve(levels, j, lower, diag, upper, rhs):
-    """Solve system j of a reduced block: reduce ``rhs`` level by level,
-    sweep the reduced system, then fill in the eliminated rows."""
-    kept = []
-    for alpha, gamma, _, _, _ in levels:
-        odd = rhs[1::2]
-        rhs = rhs[::2].copy()
-        rhs[1:] += alpha[j] * odd
-        rhs[:-1] += gamma[j] * odd
-        kept.append(odd)
-    x = thomas_solve(lower[j], diag[j], upper[j], rhs)
-    for (_, _, inv_b, a_b, c_b), odd in zip(reversed(levels), reversed(kept)):
-        full = np.empty(2 * x.shape[0] - 1)
-        full[::2] = x
-        full[1::2] = odd * inv_b[j] - a_b[j] * x[:-1] - c_b[j] * x[1:]
-        x = full
-    return x
+    return levels, bands
 
 
 # ---------------------------------------------------------------------------
 # Crank-Nicolson stepping for d_t P = -d_x(C P) + d_xx(D P) + R on a
 # uniform grid, central differences, Dirichlet values supplied per step.
-# d_levels/c_levels hold D and C at every time level (nt+1, nx);
-# r_half holds R at the half steps (nt, nx). Second order in h and dt.
-# Step j solves A_{j+1} p_{j+1} = (2 I - A_j) p_j + dt R, A_j = I - dt/2 L_j:
-# its right-hand side is 2 p - rhs_prev + dt R, and A_0 p_0 is formed only
-# when no rhs is handed in. The bands of all nt steps are built once, padded
-# to _padded_width, and reduced in one numpy pass; the caller bounds nt and
-# hands P and rhs on from call to call (verify, one block of time levels per
-# call).
+# d_levels/c_levels hold D and C at the levels whose implicit operators
+# A_j = I - dt/2 L_j the call builds: 0..nt, or 1..nt when the previous
+# call's last right-hand side ``rhs`` is handed in. r_half holds R at the
+# half steps (nt, nx). Second order in h and dt. Step j solves
+# A_{j+1} p_{j+1} = (2 I - A_j) p_j + dt R: its right-hand side is
+# 2 p - rhs_prev + dt R, and A_0 p_0 is formed only when no rhs is handed
+# in. The bands of all nt steps are built once, padded to _padded_width,
+# and reduced in one numpy pass; the caller bounds nt and hands P and rhs
+# on from call to call (verify, one block of time levels per call).
+# A plan made once per call holds every buffer and view a step touches,
+# so a step is a fixed list of numpy calls with out arguments: level k's
+# right-hand side has its own buffer, its solution is every 2^k-th entry
+# of one buffer (back substitution fills the odd rows in place). Every
+# float operation is that of the row-by-row formulas, in their order.
 # ---------------------------------------------------------------------------
 
 def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h,
               rhs=None):
-    nx = p0.shape[0]
+    nx, nt = p0.shape[0], r_half.shape[0]
+    first = int(rhs is None)  # D and C at level 0 only form A_0 p0
+    if d_levels.shape[0] != nt + first:
+        raise ValueError(f"D and C at levels {1 - first}..{nt} of {nt} steps "
+                         f"are {nt + first} rows, got {d_levels.shape[0]}")
     width = _padded_width(nx)
     inner = slice(1, nx - 1)
     inv_h2, inv_2h = 1.0 / (h * h), 0.5 / h
-    # A_j at levels 1..nt, and at level 0 when A_0 p0 is to be formed
-    d, c = (f[0 if rhs is None else 1:] for f in (d_levels, c_levels))
-    shape = (d.shape[0], width)
-    lower, diag, upper = np.zeros(shape), np.ones(shape), np.zeros(shape)
+    d, c = d_levels, c_levels
+    bands = np.zeros((3, d.shape[0], width))
+    lower, diag, upper = bands
     lower[:, inner] = -0.5 * dt * (d[:, :-2] * inv_h2 + c[:, :-2] * inv_2h)
+    diag[:] = 1.0
     diag[:, inner] = 1.0 + dt * d[:, 1:-1] * inv_h2
     upper[:, inner] = -0.5 * dt * (d[:, 2:] * inv_h2 - c[:, 2:] * inv_2h)
-    buf = np.zeros(width)
-    if rhs is None:
-        buf[inner] = (lower[0, inner] * p0[:-2] + diag[0, inner] * p0[1:-1]
-                      + upper[0, inner] * p0[2:])
-        lower, diag, upper = lower[1:], diag[1:], upper[1:]
-    else:
-        buf[:nx] = rhs
-    levels, red_lower, red_diag, red_upper = _reduce_bands(lower, diag, upper)
+    levels, core = _reduce_bands(bands[:, first:])
 
-    p = p0
-    for j, source in enumerate(dt * r_half[:, 1:-1]):
-        buf[inner] = 2.0 * p[inner] - buf[inner] + source
-        buf[0] = bc_left[j + 1]
-        buf[nx - 1] = bc_right[j + 1]
-        p = _reduced_solve(levels, j, red_lower, red_diag, red_upper, buf)
-    return p[:nx], buf[:nx]
+    level_rhs = [np.zeros(width)] + [np.empty(alpha.shape[1] + 1)
+                                     for alpha, *_ in levels]
+    b = level_rhs[0][:nx]
+    if rhs is None:
+        b[inner] = (lower[0, inner] * p0[:-2] + diag[0, inner] * p0[1:-1]
+                    + upper[0, inner] * p0[2:])
+    else:
+        b[:] = rhs
+    x = np.zeros(width)
+    x[:nx] = p0
+    b_in, x_in = b[inner], x[inner]
+    # per level, deepest last forward and first back: its factors, the
+    # views a step reads and writes (the odd rows of the right-hand side
+    # and its even rows from 2 on, the next level's right-hand side, its
+    # rows from 1 and its rows but the last, the solution's rows) and one
+    # scratch row
+    forward, backward = [], []
+    for k, (alpha, gamma, inv_b, a_b, c_b) in enumerate(levels):
+        r, r_next, sol = level_rhs[k], level_rhs[k + 1], x[::2 ** k]
+        tmp = np.empty(alpha.shape[1])
+        forward.append((alpha, gamma, r, r[1::2], r[2::2], r_next,
+                        r_next[1:], r_next[:-1], tmp))
+        backward.insert(0, (inv_b, a_b, c_b, r[1::2], sol[:-1:2], sol[2::2],
+                            sol[1::2], tmp))
+    core_x = x[::2 ** len(levels)]
+    steps = zip(*core, dt * r_half[:, 1:-1], bc_left[1:].tolist(),
+                bc_right[1:].tolist())
+    # local names and out by position: numpy call overhead is a step's cost
+    add, mul, sub = np.add, np.multiply, np.subtract
+
+    for j, (lo, di, up, source, left, right) in enumerate(steps):
+        sub(2.0 * x_in, b_in, b_in)
+        add(b_in, source, b_in)
+        b[0], b[-1] = left, right
+        for alpha, gamma, r, odd, even, r_next, tail, head, tmp in forward:
+            r_next[0] = r[0]  # row 0 has no alpha term
+            add(even, mul(alpha[j], odd, tmp), tail)
+            add(head, mul(gamma[j], odd, tmp), head)
+        core_x[:] = thomas_solve(lo, di, up, level_rhs[-1])
+        for inv_b, a_b, c_b, odd_rhs, x_l, x_r, odd, tmp in backward:
+            mul(odd_rhs, inv_b[j], odd)
+            sub(odd, mul(a_b[j], x_l, tmp), odd)
+            sub(odd, mul(c_b[j], x_r, tmp), odd)
+    return x[:nx], b

@@ -189,6 +189,9 @@ def parse_config(data: dict) -> RunConfig:
     for key, val in indices.items():
         if val < 0:
             raise ConfigError(f"config field '{key}' must be >= 0, got {val}")
+        if val > sys.float_info.max:  # the states' normalization takes n + 1.0
+            raise ConfigError(f"config field '{key}' is beyond float range "
+                              f"({len(str(val))} digits)")
 
     coeff_a = _require(data, "A", float, 1.0)
     coeff_b = _require(data, "B", float, 1.0)

@@ -182,14 +182,17 @@ def ode_residual(system: CdrSystem, z_grid) -> ResidualReport:
     sig, sig_d, sig_dd = sig_jet
     tau = system.convection(z, sig_jet)
     tau_d = system.convection(z, sig_jet, order=1)
-    rho = system.reaction(z, y, sig)
-    r = (
-        sig * y_dd
-        + (2.0 * sig_d + alpha * z - tau) * y_d
-        - (tau_d + mu - sig_dd) * y
-        + rho
-    )
-    terms = (sig * y_dd, sig_dd * y, mu * y, rho)
+    # an inf in y meets inf - inf (or 0 * inf) here: NaN there, which the
+    # report gives as max_rel at its first point
+    with np.errstate(invalid="ignore"):
+        rho = system.reaction(z, y, sig)
+        r = (
+            sig * y_dd
+            + (2.0 * sig_d + alpha * z - tau) * y_d
+            - (tau_d + mu - sig_dd) * y
+            + rho
+        )
+        terms = (sig * y_dd, sig_dd * y, mu * y, rho)
     return _residual_report([(r, terms, lambda i: float(z[i]))], "analytic")
 
 
@@ -437,8 +440,11 @@ def _evolve_single(system, x, t0, t1, nt):
     p_num, rhs = p0, None
     for start in range(0, nt, LEVEL_BLOCK):
         stop = min(start + LEVEL_BLOCK, nt)
+        # level ``start`` forms A_0 p0 in the first block only; later
+        # blocks start from the handed-on right-hand side
+        first = start if rhs is None else start + 1
         d_blk, c_blk = eval_fields(
-            system, x[None, :], levels[start:stop + 1, None], "DC")
+            system, x[None, :], levels[first:stop + 1, None], "DC")
         r_blk = eval_fields(system, x[None, :], halves[start:stop, None], "R")[0]
         p_num, rhs = _kernels.cn_evolve(
             p_num, d_blk, c_blk, r_blk, bc[start:stop + 1, 0],
@@ -470,13 +476,15 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec,
     an error of exactly 0 (P vanishes on the window, or is so small that
     the squared errors underflow).
 
-    Each resolution streams: D and C are evaluated at the levels of one
-    block of ``LEVEL_BLOCK`` steps and R at its half steps,
+    Each resolution streams: D and C are evaluated at the levels whose
+    implicit operators one block of ``LEVEL_BLOCK`` steps builds (t0 too
+    in the first block, for A_0 p0; a later block starts from the
+    handed-on right-hand side) and R at its half steps,
     ``_kernels.cn_evolve`` steps P over exactly that block, and the block
-    is dropped, so memory is O(nx * LEVEL_BLOCK) whatever nt is. A block's
-    first level is the previous block's last; every field value equals
-    that of a per-level evaluation, so P and the right-hand side carry
-    the bits of one ``cn_evolve`` call over the whole window.
+    is dropped, so memory is O(nx * LEVEL_BLOCK) whatever nt is. Every
+    field value equals that of a per-level evaluation, so P and the
+    right-hand side carry the bits of one ``cn_evolve`` call over the
+    whole window.
     """
     if grid.t_min == grid.t_max:
         raise ValueError(f"need t_min < t_max, got both {grid.t_min}")

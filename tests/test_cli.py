@@ -129,6 +129,26 @@ def test_ell_at_the_float_limit_exits_2_naming_it(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["build", "eval", "verify"])
+@pytest.mark.parametrize("indices,field", [
+    ({"case": "fpe", "s": 1, "n": 10 ** 400}, "n"),
+    ({"case": "case_b", "n": 3, "s": 10 ** 400, "n_prime": 1,
+      "s_prime": 10 ** 400 + 2}, "s"),
+], ids=["fpe-n", "case_b-s"])
+def test_index_beyond_float_range_exits_2_naming_it(tmp_path, capsys, command,
+                                                     indices, field):
+    # the states' normalization converts n + 1 to a float, which overflows
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"omega": 1.0, "ell": 1.0, "alpha": 0.8, **indices}))
+    code = run(["--config", str(path), "--out", str(tmp_path / "out"), command])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: config field '{field}' is beyond float range "
+                   "(401 digits)\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
 def test_bad_tol_exits_2_naming_it(capsys, value):
     assert run(["--tol", value, "verify"]) == 2

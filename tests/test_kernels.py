@@ -197,18 +197,45 @@ class TestCnKernel:
         np.testing.assert_allclose(implicit @ p, rhs, rtol=1e-13)
         assert (rhs[0], rhs[-1]) == (bcl[-1], bcr[-1])
 
-    # blocks of 16, 16 and 5 steps, as verify hands them over
-    @pytest.mark.parametrize("nx", [40, 200])
-    def test_handing_p_and_rhs_on_equals_one_call(self, nx):
-        p0, d, c, r, bcl, bcr, dt, h = _cn_inputs(nx, 37, seed=nx)
-        whole_p, whole_rhs = _kernels.cn_evolve(p0, d, c, r, bcl, bcr, dt, h)
+    @staticmethod
+    def _blocks(p0, d, c, r, bcl, bcr, dt, h):
+        """cn_evolve over blocks of 16, 16 and 5 steps, as verify hands them
+        over: D and C at level 0 in the first block only, then at the levels
+        whose implicit operators each block builds. Yields (p, rhs) after
+        each block."""
         p, rhs = p0, None
         for start, stop in ((0, 16), (16, 32), (32, 37)):
+            first = start if rhs is None else start + 1
             p, rhs = _kernels.cn_evolve(
-                p, d[start:stop + 1], c[start:stop + 1], r[start:stop],
+                p, d[first:stop + 1], c[first:stop + 1], r[start:stop],
                 bcl[start:stop + 1], bcr[start:stop + 1], dt, h, rhs)
+            yield p, rhs
+
+    # no reduction, two levels, and three (the fine ladder's nx = 400)
+    @pytest.mark.parametrize("nx", [40, 200, 400])
+    def test_handing_p_and_rhs_on_equals_one_call(self, nx):
+        args = _cn_inputs(nx, 37, seed=nx)
+        whole_p, whole_rhs = _kernels.cn_evolve(*args)
+        *_, (p, rhs) = self._blocks(*args)
         assert np.array_equal(p, whole_p)
         assert np.array_equal(rhs, whole_rhs)
+
+    def test_interleaved_streams_equal_each_stream_alone(self):
+        # each call plans its own buffers: no state leaks from one stream's
+        # block into the other's
+        a, b = _cn_inputs(200, 37, seed=1), _cn_inputs(200, 37, seed=2)
+        alone = [list(self._blocks(*args)) for args in (a, b)]
+        for got, ref in zip(zip(self._blocks(*a), self._blocks(*b)),
+                            zip(*alone)):
+            for (p, rhs), (ref_p, ref_rhs) in zip(got, ref):
+                assert np.array_equal(p, ref_p) and np.array_equal(rhs, ref_rhs)
+
+    @pytest.mark.parametrize("rhs", [None, np.zeros(40)])
+    def test_levels_not_matching_the_steps_rejected(self, rhs):
+        p0, d, c, r, bcl, bcr, dt, h = _cn_inputs(40, 5, seed=3)
+        levels = d[1:] if rhs is None else d
+        with pytest.raises(ValueError, match="D and C at levels"):
+            _kernels.cn_evolve(p0, levels, levels, r, bcl, bcr, dt, h, rhs)
 
     # no reduction at either parity, one level with and without padding,
     # two levels padded from 130 to 133 and from 200 to 201, three levels
@@ -219,9 +246,8 @@ class TestCnKernel:
         assert _kernels.THOMAS_ROWS == 64
         args = _cn_inputs(nx, 20, seed=nx)
         width = _kernels._padded_width(nx)
-        bands = (np.full((1, width), -0.25), np.full((1, width), 1.5),
-                 np.full((1, width), -0.25))
-        assert len(_kernels._reduce_bands(*bands)[0]) == levels
+        bands = np.array([[[-0.25] * width], [[1.5] * width], [[-0.25] * width]])
+        assert len(_kernels._reduce_bands(bands)[0]) == levels
         np.testing.assert_allclose(
             _kernels.cn_evolve(*args)[0], _dense_crank_nicolson(*args),
             rtol=1e-12, atol=1e-14,

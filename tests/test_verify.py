@@ -4,6 +4,7 @@ counting, and the time-stepping cross-check."""
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -136,8 +137,8 @@ class TestSchrodingerResidual:
         rep = schrodinger_residual(family.eigenstate(1, 3), grid)
         assert grid.x_min <= rep.worst_point <= grid.x_max
 
-    # an inf in u gives inf / inf in the reduction; not an ODE plant, as
-    # an inf in y meets inf - inf in the ODE residual's own sum
+    # an inf in u gives inf / inf in the reduction (in the ODE row, an inf
+    # in y meets inf - inf in the residual's own sum instead)
     @pytest.mark.parametrize("plants", [
         *ROW_PLANTS, pytest.param([(0, 30, math.inf)], id="inf-in-u")])
     def test_nan_reported_at_the_first_nan(self, family, plants):
@@ -163,9 +164,9 @@ class TestOdeResidual:
         rep = ode_residual(system, np.linspace(0.2, 8.0, 200))
         assert rep.max_abs <= 1e-13
 
-    @pytest.mark.parametrize("plants", ROW_PLANTS)
-    def test_nan_reported_at_the_first_nan(self, fig1, plants):
-        fields = {f.name: getattr(fig1, f.name)
+    @staticmethod
+    def _planted_residual(system, plants):
+        fields = {f.name: getattr(system, f.name)
                   for f in dataclasses.fields(CdrSystem)}
 
         class _PlantedJets(CdrSystem):
@@ -174,8 +175,20 @@ class TestOdeResidual:
                 return _plant(y_jet, plants), sig_jet
 
         z = np.linspace(0.2, 8.0, 400)
-        _assert_nan_at_first_nan(ode_residual(_PlantedJets(**fields), z), z,
-                                 plants)
+        return ode_residual(_PlantedJets(**fields), z), z
+
+    @pytest.mark.parametrize("plants", ROW_PLANTS)
+    def test_nan_reported_at_the_first_nan(self, fig1, plants):
+        _assert_nan_at_first_nan(*self._planted_residual(fig1, plants), plants)
+
+    def test_inf_in_y_reported_as_nan_without_warning(self, fig1):
+        # inf - inf in the residual sum: NaN at z[30], and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep, z = self._planted_residual(fig1, [(0, 30, math.inf)])
+        assert math.isnan(rep.max_abs) and math.isnan(rep.l2)
+        assert math.isnan(rep.max_rel)
+        assert rep.worst_point == z[30]
 
     def test_perturbed_reaction_responds_linearly(self, family):
         base = build_case_a(family, 1.0, n=1, m=0)
