@@ -1,5 +1,7 @@
 """Hot numeric kernels: plain numpy, one implementation each."""
 
+from collections import deque
+
 import numpy as np
 
 
@@ -10,23 +12,37 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 def laguerre_table(n, a, y):
-    """[L_0^a(y), ..., L_n^a(y)] from one upward recurrence on the float
-    array ``y``.
+    """Iterator over L_0^a(y), ..., L_n^a(y) from one upward recurrence on
+    the float array ``y``, holding two degrees at a time.
 
     L_0 is the scalar 1.0 (it broadcasts against ``y`` with the bits of an
     array of ones); every other entry is an array shaped like ``y``.
-    A negative ``n`` raises ValueError.
+    A negative ``n`` raises ValueError at the call.
     """
     if n < 0:
         raise ValueError(f"Laguerre degree n must be >= 0, got {n}")
-    y = np.asarray(y, dtype=np.float64)
-    table = [1.0]
+    return _laguerre_degrees(n, a, np.asarray(y, dtype=np.float64))
+
+
+def _laguerre_degrees(n, a, y):
+    prev = 1.0
+    yield prev
     if n >= 1:
-        table.append(1.0 + a - y)
-    for k in range(2, n + 1):
-        table.append(((2.0 * k - 1.0 + a - y) * table[k - 1]
-                      - (k - 1.0 + a) * table[k - 2]) / k)
-    return table
+        cur = 1.0 + a - y
+        yield cur
+        for k in range(2, n + 1):
+            # in place on the new degree only, never on one yielded
+            nxt = 2.0 * k - 1.0 + a - y
+            nxt *= cur
+            nxt -= (k - 1.0 + a) * prev
+            nxt /= k
+            prev, cur = cur, nxt
+            yield cur
+
+
+def last(values):
+    """The last item of the iterable ``values``, holding one at a time."""
+    return deque(values, maxlen=1)[0]
 
 
 def laguerre_values(n, a, y):
@@ -35,7 +51,7 @@ def laguerre_values(n, a, y):
     gives an ``np.float64`` at every degree)."""
     if n == 0:
         return np.ones_like(np.asarray(y, dtype=np.float64))[()]
-    return laguerre_table(n, a, y)[n]
+    return last(laguerre_table(n, a, y))
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +147,12 @@ def _reduce_bands(bands):
 # in. The bands of all nt steps are built once, padded to _padded_width,
 # and reduced in one numpy pass; the caller bounds nt and hands P and rhs
 # on from call to call (verify, one block of time levels per call).
-# A plan made once per call holds every buffer and view a step touches,
-# so a step is a fixed list of numpy calls with out arguments: level k's
-# right-hand side has its own buffer, its solution is every 2^k-th entry
-# of one buffer (back substitution fills the odd rows in place). Every
-# float operation is that of the row-by-row formulas, in their order.
+# Each step copies its right-hand side into one work buffer w and solves
+# there in place: level k is every 2^k-th entry of w, the forward sweep
+# adds the odd rows' terms into the even rows, the core rows are solved
+# by thomas_solve and the back sweep overwrites the odd rows, so w[:nx]
+# ends the step holding P. Every float operation is that of the
+# row-by-row formulas, in their order.
 # ---------------------------------------------------------------------------
 
 def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h,
@@ -157,47 +174,37 @@ def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h,
     upper[:, inner] = -0.5 * dt * (d[:, 2:] * inv_h2 - c[:, 2:] * inv_2h)
     levels, core = _reduce_bands(bands[:, first:])
 
-    level_rhs = [np.zeros(width)] + [np.empty(alpha.shape[1] + 1)
-                                     for alpha, *_ in levels]
-    b = level_rhs[0][:nx]
+    b_full, w = np.zeros(width), np.zeros(width)  # padded rows stay 0 in b
+    b = b_full[:nx]
     if rhs is None:
         b[inner] = (lower[0, inner] * p0[:-2] + diag[0, inner] * p0[1:-1]
                     + upper[0, inner] * p0[2:])
     else:
         b[:] = rhs
-    x = np.zeros(width)
-    x[:nx] = p0
-    b_in, x_in = b[inner], x[inner]
-    # per level, deepest last forward and first back: its factors, the
-    # views a step reads and writes (the odd rows of the right-hand side
-    # and its even rows from 2 on, the next level's right-hand side, its
-    # rows from 1 and its rows but the last, the solution's rows) and one
-    # scratch row
-    forward, backward = [], []
-    for k, (alpha, gamma, inv_b, a_b, c_b) in enumerate(levels):
-        r, r_next, sol = level_rhs[k], level_rhs[k + 1], x[::2 ** k]
-        tmp = np.empty(alpha.shape[1])
-        forward.append((alpha, gamma, r, r[1::2], r[2::2], r_next,
-                        r_next[1:], r_next[:-1], tmp))
-        backward.insert(0, (inv_b, a_b, c_b, r[1::2], sol[:-1:2], sol[2::2],
-                            sol[1::2], tmp))
-    core_x = x[::2 ** len(levels)]
+    w[:nx] = p0
+    b_in, p_in = b[inner], w[inner]
+    # per level: its factors, the odd rows of w at that level, the even
+    # rows left and right of them, and one scratch row
+    plan = [(*level, w[2 ** k::2 ** (k + 1)], w[:-1:2 ** (k + 1)],
+             w[2 ** (k + 1)::2 ** (k + 1)], np.empty(level[0].shape[1]))
+            for k, level in enumerate(levels)]
+    w_core = w[::2 ** len(levels)]
     steps = zip(*core, dt * r_half[:, 1:-1], bc_left[1:].tolist(),
                 bc_right[1:].tolist())
     # local names and out by position: numpy call overhead is a step's cost
-    add, mul, sub = np.add, np.multiply, np.subtract
+    add, mul, sub, copy = np.add, np.multiply, np.subtract, np.copyto
 
-    for j, (lo, di, up, source, left, right) in enumerate(steps):
-        sub(2.0 * x_in, b_in, b_in)
+    for j, (lo, di, up, source, bc_l, bc_r) in enumerate(steps):
+        sub(2.0 * p_in, b_in, b_in)
         add(b_in, source, b_in)
-        b[0], b[-1] = left, right
-        for alpha, gamma, r, odd, even, r_next, tail, head, tmp in forward:
-            r_next[0] = r[0]  # row 0 has no alpha term
-            add(even, mul(alpha[j], odd, tmp), tail)
-            add(head, mul(gamma[j], odd, tmp), head)
-        core_x[:] = thomas_solve(lo, di, up, level_rhs[-1])
-        for inv_b, a_b, c_b, odd_rhs, x_l, x_r, odd, tmp in backward:
-            mul(odd_rhs, inv_b[j], odd)
-            sub(odd, mul(a_b[j], x_l, tmp), odd)
-            sub(odd, mul(c_b[j], x_r, tmp), odd)
-    return x[:nx], b
+        b[0], b[-1] = bc_l, bc_r
+        copy(w, b_full)
+        for alpha, gamma, _, _, _, odd, left, right, tmp in plan:
+            add(right, mul(alpha[j], odd, tmp), right)
+            add(left, mul(gamma[j], odd, tmp), left)
+        w_core[:] = thomas_solve(lo, di, up, w_core)
+        for _, _, inv_b, a_b, c_b, odd, left, right, tmp in reversed(plan):
+            mul(odd, inv_b[j], odd)
+            sub(odd, mul(a_b[j], left, tmp), odd)
+            sub(odd, mul(c_b[j], right, tmp), odd)
+    return w[:nx], b

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import laguerre_table, laguerre_values
+from ._kernels import laguerre_table, laguerre_values, last
 
 __all__ = [
     "OscillatorParams",
@@ -227,7 +227,7 @@ class Eigenstate:
             raise ValueError(f"jet order must be 1 or 2, got {order}")
         x, q = _half_line_q(self._omega, x, derivative=True)
         p = self._power
-        lags = [laguerre_table(self.n - k, self._lag_a + k, q)[-1]
+        lags = [last(laguerre_table(self.n - k, self._lag_a + k, q))
                 if k <= self.n else 0.0 for k in range(order + 1)]
         lag, lag_d = lags[0], -lags[1]
         base = np.exp(self._log_norm + _log_envelope(q, p))

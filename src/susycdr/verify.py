@@ -514,13 +514,13 @@ def grid_fields(system: CdrSystem, grid: GridSpec):
     field evaluation. Raises ValueError after the last block when a field
     is not finite at some grid point, naming the first such field and its
     count over the whole grid. The fields are evaluated with numpy's
-    overflow and invalid warnings off, as that count reports them."""
+    overflow, divide and invalid warnings off, as that count reports them."""
     x, ts = grid.x_points(), grid.t_points()
     bad = np.zeros(4, dtype=np.int64)
     for start in range(0, grid.nt, LEVEL_BLOCK):
         levels = ts[start:start + LEVEL_BLOCK]
         # not around the yield: numpy's errstate would reach the consumer
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             fields = eval_fields(system, x[None, :], levels[:, None])
         bad += [np.count_nonzero(~np.isfinite(values)) for values in fields]
         yield levels, fields

@@ -6,7 +6,7 @@ with t^(1 - alpha) instead of t^(mu - 1) (agreeing only at t = 1), the
 other builds the convection on sigma where the exact profile uses sigma'.
 A counting fixture records how often the eigenstates run the Laguerre
 recurrence. ``peak_growth_check`` is the one memory-growth check of the
-streamed layers, and ``hoarding_eval_fields`` a double that breaks them.
+streamed layers (time levels and Laguerre degrees), and ``hoarding_eval_fields`` a double that breaks them.
 """
 
 import dataclasses
@@ -68,10 +68,10 @@ def laguerre_calls(monkeypatch):
 PEAK_GROWTH_MARGIN = 100_000
 
 
-def _traced_peak(call, nt):
+def _traced_peak(call, size):
     tracemalloc.start()
     try:
-        call(nt)
+        call(size)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -82,10 +82,9 @@ def _check_peak_growth(call, small, large, bound):
     small_peak = _traced_peak(call, small)
     large_peak = _traced_peak(call, large)
     assert small_peak < bound, (
-        f"peak {small_peak} B at nt = {small} is not below {bound} B")
+        f"peak {small_peak} B at {small} is not below {bound} B")
     assert large_peak - small_peak < PEAK_GROWTH_MARGIN, (
-        f"peak grew by {large_peak - small_peak} B from nt = {small} to "
-        f"nt = {large}")
+        f"peak grew by {large_peak - small_peak} B from {small} to {large}")
 
 
 @pytest.fixture
@@ -93,10 +92,11 @@ def peak_growth_check():
     """The check ``(call, small, large, bound)``: after one untraced
     warm-up, the tracemalloc peak of ``call(small)`` is below ``bound``
     bytes, and that of ``call(large)`` exceeds it by less than
-    ``PEAK_GROWTH_MARGIN``. Each time grid should hold at least two full
-    blocks of ``LEVEL_BLOCK`` levels: a short last block reads as growth
-    (pde_residual's finite differences peak 257 kB lower at nt = 20 than
-    at nt = 80)."""
+    ``PEAK_GROWTH_MARGIN``. The sizes are numbers of time levels, or a
+    Laguerre degree for the eigenstates. Each time grid should hold at
+    least two full blocks of ``LEVEL_BLOCK`` levels: a short last block
+    reads as growth (pde_residual's finite differences peak 257 kB lower
+    at nt = 20 than at nt = 80)."""
     return _check_peak_growth
 
 

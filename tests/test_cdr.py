@@ -138,6 +138,16 @@ class TestEvalFields:
         with pytest.raises(ValueError, match="t > 0"):
             eval_fields(fig1, XS, t)
 
+    def test_peak_memory_does_not_grow_with_the_degree(self, family,
+                                                      peak_growth_check):
+        # the Laguerre recurrence streams its degrees; a table of them all
+        # held 12.8 kB per degree on these 400 x 4 points
+        x = np.linspace(0.2, 8.0, 400)
+        t = np.linspace(0.5, 2.5, 4)[:, None]
+        peak_growth_check(
+            lambda n: eval_fields(build_fpe(family, 1, n, 0.8), x, t),
+            50, 400, 1_000_000)
+
     @staticmethod
     def _similarity_variable(monkeypatch, system, x, t):
         """The z at which a P-only call evaluates the solution state."""

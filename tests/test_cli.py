@@ -306,19 +306,29 @@ class TestEvalCommand:
     def test_overflowing_fields_exit_2_without_runtime_warnings(
             self, tmp_path, capsys, command):
         # grid_fields counts the non-finite values itself; numpy's overflow
-        # warnings would escape run() as errors here and print to stderr
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"omega": 4.0, "ell": 1e200, "alpha": 1.0,
-                                      "case": "fpe", "s": 0, "n": 2}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run(["--config", str(config), "--out", str(tmp_path / "out"),
-                        command])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "error: field P is not finite at 1600 of 1600 grid points" in err
-        assert "RuntimeWarning" not in err
-        assert err.count("\n") == 1
+        # and divide warnings would escape run() as errors here and print
+        # to stderr
+        configs = [
+            # the Laguerre factor of u_2 overflows
+            ({"omega": 4.0, "ell": 1e200, "alpha": 1.0, "case": "fpe", "s": 0,
+              "n": 2}, "field P is not finite at 1600 of 1600 grid points"),
+            # q = omega x^2 / 2 underflows to 0 at x_min: the jets divide by
+            # q and the potential by x^2
+            (dict(DEFAULT_CONFIG, grid=dict(DEFAULT_CONFIG["grid"], x_min=1e-170)),
+             "field C is not finite at 4 of 1600 grid points"),
+        ]
+        for data, message in configs:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(data))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run(["--config", str(config), "--out",
+                            str(tmp_path / "out"), command])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"error: {message}" in err
+            assert "RuntimeWarning" not in err
+            assert err.count("\n") == 1
 
     # nt is the small grid; the check also runs 4 nt levels
     @pytest.mark.parametrize("nt", [100])

@@ -24,7 +24,7 @@ class TestLaguerreKernel:
     @pytest.mark.parametrize("a", [0.5, 1.7, 4.5, 12.25])
     def test_every_degree_bitwise_equal_to_two_term_recurrence(self, a):
         y = np.linspace(0.0, 40.0, 301)
-        table = _kernels.laguerre_table(20, a, y)
+        table = list(_kernels.laguerre_table(20, a, y))
         assert len(table) == 21
         for n, entry in enumerate(table):
             expected = _two_term_recurrence(n, a, y)
@@ -33,7 +33,7 @@ class TestLaguerreKernel:
 
     def test_degree_zero_is_an_array_of_ones(self):
         y = np.linspace(0.0, 3.0, 7).reshape(7, 1)
-        assert _kernels.laguerre_table(0, 1.5, y) == [1.0]
+        assert list(_kernels.laguerre_table(0, 1.5, y)) == [1.0]
         out = _kernels.laguerre_values(0, 1.5, y)
         assert out.shape == y.shape and np.all(out == 1.0)
 
@@ -180,7 +180,9 @@ class TestCnKernel:
         assert verify.LEVEL_BLOCK == 16
         # Up to THOMAS_ROWS rows the sweep sees the per-step bands and keeps
         # their bits; odd-even reduction above that reorders the arithmetic.
-        for nx in (40, 200):
+        # nx = 200, 400 (the fine ladder's width, padded to 401) and 1000
+        # run two, three and four levels of it in the one work buffer.
+        for nx in (40, 200, 400, 1000):
             args = _cn_inputs(nx, nt, seed=nt)
             got, ref = _kernels.cn_evolve(*args)[0], _per_step_cn_evolve(*args)
             if nx <= _kernels.THOMAS_ROWS:
@@ -188,8 +190,8 @@ class TestCnKernel:
             else:
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
 
-    # no reduction, and two levels of odd-even reduction
-    @pytest.mark.parametrize("nx", [40, 200])
+    # no reduction, two levels of odd-even reduction, and three
+    @pytest.mark.parametrize("nx", [40, 200, 400])
     def test_returned_rhs_solves_the_last_implicit_system(self, nx):
         p0, d, c, r, bcl, bcr, dt, h = args = _cn_inputs(nx, 7, seed=nx)
         p, rhs = _kernels.cn_evolve(*args)
