@@ -511,11 +511,24 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec,
 def grid_fields(system: CdrSystem, grid: GridSpec):
     """(levels, (P, D, C, R)) of each block of ``LEVEL_BLOCK`` grid time
     levels, in time order, each field a (len(levels), nx) array from one
-    field evaluation. Raises ValueError after the last block when a field
-    is not finite at some grid point, naming the first such field and its
-    count over the whole grid. The fields are evaluated with numpy's
-    overflow, divide and invalid warnings off, as that count reports them."""
+    field evaluation. Raises ValueError naming alpha before the first
+    block when t^alpha is 0 or inf at an end of the grid's t range (z =
+    x / t^alpha would be inf or 0). Raises ValueError after the last block
+    when a field is not finite at some grid point, naming the first such
+    field and its count over the whole grid; when that field is C and
+    1/q overflows at the smallest q = omega z^2 / 2 of the grid (at
+    x_min and t_max), it names grid.x_min instead. The fields are
+    evaluated with numpy's overflow, divide and invalid warnings off, as
+    that count reports them."""
     x, ts = grid.x_points(), grid.t_points()
+    with np.errstate(over="ignore"):
+        t_alpha = ts[[0, -1]] ** system.alpha
+    for t, power in zip((grid.t_min, grid.t_max), t_alpha.tolist()):
+        if not 0.0 < power < math.inf:
+            raise ValueError(
+                f"config field 'alpha' = {system.alpha:g} is too large for t "
+                f"in [{grid.t_min:g}, {grid.t_max:g}]: t^alpha is {power:g} at "
+                f"t = {t:g}, where z = x / t^alpha must be finite and above 0")
     bad = np.zeros(4, dtype=np.int64)
     for start in range(0, grid.nt, LEVEL_BLOCK):
         levels = ts[start:start + LEVEL_BLOCK]
@@ -525,11 +538,24 @@ def grid_fields(system: CdrSystem, grid: GridSpec):
         bad += [np.count_nonzero(~np.isfinite(values)) for values in fields]
         yield levels, fields
     for name, count in zip("PDCR", bad.tolist()):
-        if count:
-            raise ValueError(
-                f"field {name} is not finite at {count} of {grid.nx * grid.nt} "
-                f"grid points for omega={system.family.omega:g}, "
-                f"ell={system.family.ell:g}: the closed form overflows there")
+        if not count:
+            continue
+        if name == "C":  # sigma' divides by q, smallest at (x_min, t_max)
+            z = grid.x_min / t_alpha[-1]
+            with np.errstate(all="ignore"):
+                slope = system.sigma_state.jet(z, 1)[1]
+            if not np.isfinite(slope):
+                raise ValueError(
+                    f"config field 'grid.x_min' = {grid.x_min:g} is too small: "
+                    f"q = omega z^2 / 2 is {0.5 * system.family.omega * z * z:g}"
+                    f" at z = x_min / t_max^alpha (t_max = {grid.t_max:g}, "
+                    f"alpha = {system.alpha:g}), and the slope of the "
+                    "diffusion state that field C takes divides by q there")
+        raise ValueError(
+            f"field {name} is not finite at {count} of {grid.nx * grid.nt} "
+            f"grid points for omega={system.family.omega:g}, "
+            f"ell={system.family.ell:g}, alpha={system.alpha:g}: the closed "
+            "form overflows there")
 
 
 def _check_allowed_intervals(system: CdrSystem, grid: GridSpec):

@@ -5,14 +5,72 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from susycdr import verify
 from susycdr.cdr import eval_fields
-from susycdr.cli import (_FIG_GRID, _FIG_TIMES, DEFAULT_CONFIG, ConfigError,
-                         _fig_systems, main, parse_config, run)
+from susycdr.cli import (_FIG_GRID, _FIG_TIMES, _TOP_FIELDS, DEFAULT_CONFIG,
+                         ConfigError, _fig_systems, main, parse_config, run)
+
+# Every config that some command refuses: its commands, exit code and the
+# substring of its one stderr line (CI runs it through the console script).
+_TABLE = json.loads((Path(__file__).parent / "refusals.json").read_text())
+REFUSALS = {entry["id"]: entry for entry in _TABLE}
+# Table entries that a test runs under a name of its own; test_refusal, at
+# the end of this module, runs every other entry.
+_NAMED = set()
+
+
+def runs(*ids):
+    """Decorator: the test runs the table entries ``ids`` itself."""
+    _NAMED.update(ids)
+    return lambda test: test
+
+
+def refusal_cases(*ids, label=None):
+    """pytest params (entry id, command), one per command of each table
+    entry in ``ids``, which the parametrized test runs. Each is labelled
+    ``label`` (a format of ``id`` and ``command``); by default the entry id,
+    followed by the command when the entry runs more than one."""
+    runs(*ids)
+    return [pytest.param(entry, command, id=(label or (
+        "{id}-{command}" if len(REFUSALS[entry]["commands"]) > 1 else "{id}"))
+        .format(id=entry, command=command))
+        for entry in ids for command in REFUSALS[entry]["commands"]]
+
+
+@pytest.fixture
+def refused(tmp_path, capsys, monkeypatch):
+    """check(entry id, command) runs the command in process on the table
+    entry's config, with every warning an error, and asserts the entry's
+    exit code with nothing on stdout, no ``--out`` directory left behind, no
+    oracle run and one stderr line holding the entry's substring, which it
+    returns."""
+    def no_oracle(*args):
+        raise AssertionError("an oracle ran")
+
+    monkeypatch.setattr(verify, "schrodinger_residual", no_oracle)
+
+    def check(entry_id, command):
+        entry = REFUSALS[entry_id]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(entry["config"]))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["--config", str(config), "--out", str(out), command])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (entry["exit"], "")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert captured.err.startswith("error: ")
+        assert entry["stderr"] in captured.err
+        assert not out.exists()
+        return captured.err.rstrip("\n")
+
+    return check
 
 
 def write_config(tmp_path, **overrides):
@@ -69,84 +127,36 @@ class TestParseConfig:
                           "case": "case_a", "n": 1})
 
 
-@pytest.mark.parametrize("override,field", [
-    ({"tolerances": {"pde_rel": "x"}}, "tolerances.pde_rel"),
-    ({"tolerances": [1, 2]}, "tolerances"),
-    ({"A": None}, "A"),
-    ({"A": "abc"}, "A"),
-    ({"omega": float("nan")}, "omega"),
-    ({"alpha": float("inf")}, "alpha"),
-    ({"alpha": 0.0}, "alpha"),
-    ({"alpha": -0.5}, "alpha"),
-    ({"grid": {"nx": 10 ** 9}}, "grid"),
-    ({"tolerence": {"pde_rel": 1e-20}}, "tolerence"),
-    ({"grid": {"xmax": 3.0}}, "grid.xmax"),
-    ({"tolerances": {"pde": 1e-20}}, "tolerances.pde"),
-    # JSON integers beyond float range
-    ({"omega": 10 ** 400}, "omega"),
-    ({"tolerances": {"pde_rel": 10 ** 400}}, "tolerances.pde_rel"),
-], ids=["tolerance-str", "tolerances-list", "A-null", "A-str", "omega-nan",
-        "alpha-inf", "alpha-zero", "alpha-negative", "grid-too-large",
-        "unknown-key", "grid-unknown-key", "tolerances-unknown-key",
-        "omega-huge-int", "tolerance-huge-int"])
-def test_bad_number_field_exits_2_naming_it(tmp_path, capsys, override, field):
-    path = write_config(tmp_path, **override)
-    assert run(["--config", str(path), "verify"]) == 2
-    assert f"config field '{field}'" in capsys.readouterr().err
+@pytest.mark.parametrize("entry,command", refusal_cases(
+    "tolerance-str", "tolerances-list", "A-null", "A-str", "omega-nan",
+    "alpha-inf", "alpha-zero", "alpha-negative", "grid-too-large",
+    "unknown-key", "grid-unknown-key", "tolerances-unknown-key",
+    "omega-huge-int", "tolerance-huge-int"))
+def test_bad_number_field_exits_2_naming_it(refused, entry, command):
+    refused(entry, command)
 
 
-@pytest.mark.parametrize("tolerances,field", [
-    ({"pde_rel": -1}, "tolerances.pde_rel"),
-    ({"pde_rel": 0}, "tolerances.pde_rel"),
-    ({"evolve_ratio_lo": 0.0}, "tolerances.evolve_ratio_lo"),
-    ({"evolve_ratio_lo": 5, "evolve_ratio_hi": 4}, "tolerances.evolve_ratio_hi"),
-    ({"evolve_ratio_lo": 4, "evolve_ratio_hi": 4}, "tolerances.evolve_ratio_hi"),
-], ids=["negative", "zero", "ratio-lo-zero", "ratio-band-reversed",
-        "ratio-band-empty"])
-def test_tolerance_not_above_0_or_empty_band_exits_2(tmp_path, capsys,
-                                                     tolerances, field):
+@pytest.mark.parametrize("entry,command", refusal_cases(
+    "negative", "zero", "ratio-lo-zero", "ratio-band-reversed",
+    "ratio-band-empty"))
+def test_tolerance_not_above_0_or_empty_band_exits_2(refused, entry, command):
     # a bound like that fails its row on every system: a config error, as
     # with --tol, not a verification failure
-    path = write_config(tmp_path, tolerances=tolerances)
-    assert run(["--config", str(path), "verify"]) == 2
-    captured = capsys.readouterr()
-    assert f"config field '{field}'" in captured.err
-    assert captured.out == ""
+    refused(entry, command)
 
 
-@pytest.mark.parametrize("command", ["build", "eval", "verify"])
-def test_ell_at_the_float_limit_exits_2_naming_it(tmp_path, capsys, command):
+@pytest.mark.parametrize("entry,command",
+                         refusal_cases("ell-1e306", label="{command}"))
+def test_ell_at_the_float_limit_exits_2_naming_it(refused, entry, command):
     # ln Gamma(n + ell + s + 3/2) of the states' normalization overflows
-    path = write_config(tmp_path, ell=1e306)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = run(["--config", str(path), "--out", str(tmp_path / "out"),
-                    command])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ell + s = 1e+306 is too large")
-    assert err.count("\n") == 1
-    assert not (tmp_path / "out").exists()
+    assert refused(entry, command).startswith(
+        "error: ell + s = 1e+306 is too large")
 
 
-@pytest.mark.parametrize("command", ["build", "eval", "verify"])
-@pytest.mark.parametrize("indices,field", [
-    ({"case": "fpe", "s": 1, "n": 10 ** 400}, "n"),
-    ({"case": "case_b", "n": 3, "s": 10 ** 400, "n_prime": 1,
-      "s_prime": 10 ** 400 + 2}, "s"),
-], ids=["fpe-n", "case_b-s"])
-def test_index_beyond_float_range_exits_2_naming_it(tmp_path, capsys, command,
-                                                     indices, field):
+@pytest.mark.parametrize("entry,command", refusal_cases("fpe-n", "case_b-s"))
+def test_index_beyond_float_range_exits_2_naming_it(refused, entry, command):
     # the states' normalization converts n + 1 to a float, which overflows
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(
-        {"omega": 1.0, "ell": 1.0, "alpha": 0.8, **indices}))
-    code = run(["--config", str(path), "--out", str(tmp_path / "out"), command])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err == (f"error: config field '{field}' is beyond float range "
-                   "(401 digits)\n")
-    assert not (tmp_path / "out").exists()
+    assert refused(entry, command) == f"error: {REFUSALS[entry]['stderr']}"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
@@ -173,10 +183,9 @@ class TestBuildCommand:
         assert "case_b" in out
         assert "alpha=1" in out
 
-    def test_constraint_violation_exits_2(self, tmp_path, capsys):
-        path = write_config(tmp_path, n=2)
-        assert run(["--config", str(path), "build"]) == 2
-        assert "n + s == n_prime + s_prime" in capsys.readouterr().err
+    @runs("index-constraint")
+    def test_constraint_violation_exits_2(self, refused):
+        refused("index-constraint", "build")
 
     def test_unreadable_config_exits_2(self, tmp_path):
         assert run(["--config", str(tmp_path / "nope.json"), "build"]) == 2
@@ -256,44 +265,27 @@ class TestEvalCommand:
         assert capsys.readouterr().out == (
             f"wrote {path} ({grid.nx * grid.nt} rows)\n")
 
-    @pytest.mark.parametrize("command,omega,ell,grid,bad,total", [
-        pytest.param("eval", 4.0, 1e200, {}, 1600, 1600, id="4.0-1e+200-1600"),
-        pytest.param("eval", 1.0, 1e200, {}, 1600, 1600, id="1.0-1e+200-1600"),
-        pytest.param("verify", 4.0, 1e200, {}, 1600, 1600,
-                     id="verify-4.0-1e+200-1600"),
-        pytest.param("verify", 1.0, 1e200, {}, 1600, 1600,
-                     id="verify-1.0-1e+200-1600"),
+    @runs("ell-1e200-omega-4", "ell-1e200-omega-1", "ell-1e200-nt40")
+    @pytest.mark.parametrize("entry,command", [
+        pytest.param("ell-1e200-omega-4", "eval", id="4.0-1e+200-1600"),
+        pytest.param("ell-1e200-omega-1", "eval", id="1.0-1e+200-1600"),
+        pytest.param("ell-1e200-omega-4", "verify", id="verify-4.0-1e+200-1600"),
+        pytest.param("ell-1e200-omega-1", "verify", id="verify-1.0-1e+200-1600"),
         # three blocks of levels: the count is summed over all of them
-        pytest.param("eval", 4.0, 1e200, {"nx": 10, "nt": 40}, 400, 400,
-                     id="4.0-1e+200-400-nt40"),
-        pytest.param("verify", 4.0, 1e200, {"nx": 10, "nt": 40}, 400, 400,
-                     id="verify-4.0-1e+200-400-nt40"),
+        pytest.param("ell-1e200-nt40", "eval", id="4.0-1e+200-400-nt40"),
+        pytest.param("ell-1e200-nt40", "verify", id="verify-4.0-1e+200-400-nt40"),
     ])
-    def test_non_finite_field_exits_2_before_writing(
-            self, tmp_path, capsys, command, omega, ell, grid, bad, total):
+    def test_non_finite_field_exits_2_before_writing(self, refused, entry,
+                                                     command):
         # L_2^a(q) is about a^2 / 2, which overflows for a = ell + 1/2 = 1e200
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"omega": omega, "ell": ell, "alpha": 1.0,
-                                      "case": "fpe", "n": 2, "s": 0,
-                                      "grid": grid}))
-        out_dir = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run(["--config", str(config), "--out", str(out_dir), command])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"field P is not finite at {bad} of {total} grid points" in err
-        assert f"omega={omega:g}, ell={ell:g}" in err
-        assert not out_dir.exists()
-        assert not list(tmp_path.rglob("*.part"))
+        refused(entry, command)
 
     def test_non_finite_field_leaves_an_existing_out_dir_as_it_was(
             self, tmp_path, capsys):
         # the CSV is streamed to a file beside fields.csv; the error comes
         # after the last block and removes that file, the old CSV stays
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"omega": 4.0, "ell": 1e200, "alpha": 1.0,
-                                      "case": "fpe", "n": 2, "s": 0,
-                                      "grid": {"nx": 10, "nt": 40}}))
+        config.write_text(json.dumps(REFUSALS["ell-1e200-nt40"]["config"]))
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         (out_dir / "fields.csv").write_text("old\n")
@@ -302,33 +294,14 @@ class TestEvalCommand:
         assert [p.name for p in out_dir.iterdir()] == ["fields.csv"]
         assert (out_dir / "fields.csv").read_text() == "old\n"
 
-    @pytest.mark.parametrize("command", ["eval", "verify"])
+    @pytest.mark.parametrize("entry,command", refusal_cases(
+        "x_min-1e-170-case_b", label="{command}"))
     def test_overflowing_fields_exit_2_without_runtime_warnings(
-            self, tmp_path, capsys, command):
-        # grid_fields counts the non-finite values itself; numpy's overflow
-        # and divide warnings would escape run() as errors here and print
-        # to stderr
-        configs = [
-            # the Laguerre factor of u_2 overflows
-            ({"omega": 4.0, "ell": 1e200, "alpha": 1.0, "case": "fpe", "s": 0,
-              "n": 2}, "field P is not finite at 1600 of 1600 grid points"),
-            # q = omega x^2 / 2 underflows to 0 at x_min: the jets divide by
-            # q and the potential by x^2
-            (dict(DEFAULT_CONFIG, grid=dict(DEFAULT_CONFIG["grid"], x_min=1e-170)),
-             "field C is not finite at 4 of 1600 grid points"),
-        ]
-        for data, message in configs:
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps(data))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code = run(["--config", str(config), "--out",
-                            str(tmp_path / "out"), command])
-            assert code == 2
-            err = capsys.readouterr().err
-            assert f"error: {message}" in err
-            assert "RuntimeWarning" not in err
-            assert err.count("\n") == 1
+            self, refused, entry, command):
+        # q = omega x^2 / 2 underflows to 0 at x_min and 1/q overflows:
+        # grid_fields counts the non-finite values of C itself, as numpy's
+        # divide and overflow warnings would escape run() as errors here
+        refused(entry, command)
 
     # nt is the small grid; the check also runs 4 nt levels
     @pytest.mark.parametrize("nt", [100])
@@ -391,25 +364,16 @@ class TestVerifyCommand:
             assert "  <= 0.001 " in row, row
         assert "  in [3.5, 4.5] " in rows[5]
 
-    def test_negative_diffusion_exits_2_naming_b(self, tmp_path, capsys):
+    @runs("negative-B")
+    def test_negative_diffusion_exits_2_naming_b(self, refused):
         # D = B u_sigma is negative next to x = 0: no domain to step on
-        config = write_config(tmp_path, B=-3.0)
-        assert run(["--config", str(config), "verify"]) == 2
-        captured = capsys.readouterr()
-        assert "(B = -3)" in captured.err
-        assert captured.out == ""
+        refused("negative-B", "verify")
 
-    def test_diffusion_node_below_x_min_exits_2_naming_it(self, tmp_path,
-                                                          capsys):
+    @runs("node-below-x_min")
+    def test_diffusion_node_below_x_min_exits_2_naming_it(self, refused):
         # the diffusion profile's first node at t = 1 lies near x = 0.181,
         # below grid.x_min = 0.2
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "omega": 25.0, "ell": 0.5, "alpha": 1.0, "case": "fpe", "n": 8,
-            "s": 0, "grid": {"x_min": 0.2, "x_max": 2.0}}))
-        assert run(["--config", str(config), "verify"]) == 2
-        err = capsys.readouterr().err
-        assert "'grid.x_min' = 0.2 must lie below x = 0.171923" in err
+        refused("node-below-x_min", "verify")
 
     def test_gram_integrates_through_the_configured_degree(
             self, tmp_path, monkeypatch):
@@ -426,26 +390,6 @@ class TestVerifyCommand:
                                       "case": "fpe", "s": 1, "n": 6}))
         assert run(["--config", str(config), "verify"]) == 0
         assert gram_n_max == [6]
-
-    @pytest.mark.parametrize("key, indices", [
-        ("n", {"case": "fpe", "s": 1, "n": 9}),
-        ("m", {"case": "case_a", "n": 1, "m": 9}),
-        ("n_prime", {"case": "case_b", "n": 0, "s": 9, "n_prime": 9,
-                     "s_prime": 0}),
-    ])
-    def test_degree_above_8_exits_2_before_any_oracle(
-            self, tmp_path, monkeypatch, capsys, key, indices):
-        def no_oracle(*args):
-            raise AssertionError("an oracle ran")
-
-        monkeypatch.setattr(verify, "schrodinger_residual", no_oracle)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"omega": 1.0, "ell": 1.0, "alpha": 0.8,
-                                      **indices}))
-        assert run(["--config", str(config), "verify"]) == 2
-        captured = capsys.readouterr()
-        assert f"config field '{key}' must be at most 8" in captured.err
-        assert captured.out == ""
 
     @pytest.mark.parametrize("indices", [{"case": "fpe", "n": 1, "s": 0},
                                          {"case": "case_a", "n": 0, "m": 1}],
@@ -486,40 +430,21 @@ class TestVerifyCommand:
         assert f"omega={omega:g}, ell={ell:g}" in captured.err
         assert not out.exists()
 
-    def test_grid_above_the_allowed_interval_exits_2(self, tmp_path, capsys):
+    @runs("grid-above-interval")
+    def test_grid_above_the_allowed_interval_exits_2(self, refused):
         # u_2 of (omega, ell) = (1, 1) is classically allowed on
         # [0.558, 5.07]; a grid from x = 7.5 on holds only its tail
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "omega": 1.0, "ell": 1.0, "alpha": 1.0, "case": "fpe", "n": 2,
-            "s": 0, "grid": {"x_min": 7.5, "x_max": 9.0}}))
-        assert run(["--config", str(config), "verify"]) == 2
-        err = capsys.readouterr().err
-        assert "config field 'grid.x_min' = 7.5 lies above x = 5.06839" in err
-        assert "solution state (n=2, s=0) for omega=1, ell=1" in err
+        assert ("solution state (n=2, s=0) for omega=1, ell=1"
+                in refused("grid-above-interval", "verify"))
 
-    @pytest.mark.parametrize("t_min, t_max, nt, t_zero", [
-        (0.5, 2.5, 4, "0.5"), (1.0, 2.5, 4, "1.5"), (1.0, 1.04, 20, "1.04")],
-        ids=["every-level", "from-the-second-level", "last-level-of-two-blocks"])
+    @pytest.mark.parametrize("entry,command", refusal_cases(
+        "every-level", "from-the-second-level", "last-level-of-two-blocks"))
     def test_p_zero_on_a_whole_time_level_exits_2_before_any_oracle(
-            self, tmp_path, monkeypatch, capsys, t_min, t_max, nt, t_zero):
+            self, refused, entry, command):
         # the grid holds u_0 near t = 1 only: at the other levels it lies
         # near x = 1414 t, off the grid, and P underflows to 0 on every x,
         # where the pde row would pass on zeros
-        def no_oracle(*args):
-            raise AssertionError("an oracle ran")
-
-        monkeypatch.setattr(verify, "schrodinger_residual", no_oracle)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "omega": 1.0, "ell": 1e6, "alpha": 1.0, "case": "fpe", "s": 0,
-            "n": 0, "grid": {"x_min": 1400.0, "x_max": 1430.0,
-                             "t_min": t_min, "t_max": t_max, "nt": nt}}))
-        assert run(["--config", str(config), "verify"]) == 2
-        captured = capsys.readouterr()
-        assert ("config field 'grid': P is 0 at every x in [1400, 1430] at "
-                f"time level t = {t_zero} ") in captured.err
-        assert captured.out == ""
+        refused(entry, command)
 
     # nt is the small grid; the check also runs 4 nt levels
     @pytest.mark.parametrize("nt", [100])
@@ -622,3 +547,35 @@ class TestConsoleEntry:
             capture_output=True, text=True,
         )
         assert out.returncode == 2
+
+
+# test_refusal comes last: it runs the table entries that no test above
+# runs under a name of its own.
+@pytest.mark.parametrize("entry,command", refusal_cases(
+    *(entry for entry in REFUSALS if entry not in _NAMED)))
+def test_refusal(refused, entry, command):
+    refused(entry, command)
+
+
+def test_refusal_table_is_well_formed():
+    # a typo in the table must not pass vacuously
+    assert len(REFUSALS) == len(_TABLE)  # ids are unique
+    paths = {*_TOP_FIELDS, *(f"{section}.{key}" for section in ("grid", "tolerances")
+                            for key in DEFAULT_CONFIG[section])}
+    for entry in _TABLE:
+        assert entry["exit"] == 2
+        assert entry["commands"]
+        assert set(entry["commands"]) <= {"build", "eval", "verify"}
+        assert len(set(entry["commands"])) == len(entry["commands"])
+        assert entry["field"] in entry["stderr"]
+        # an unknown key is refused by its own name; every other refusal
+        # names a field that some case reads
+        unknown = entry["stderr"].endswith(" is not known")
+        assert (entry["field"] in paths) != unknown, entry["id"]
+
+
+def test_readme_lists_every_refusal():
+    rows = [f"| `{entry['field']}` | {entry['condition']} | "
+            f"{', '.join(entry['commands'])} |" for entry in _TABLE]
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert "\n".join(rows) + "\n\n" in readme

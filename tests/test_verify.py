@@ -749,6 +749,22 @@ class TestGridFields:
             got = np.concatenate([fields[k] for _, fields in blocks])
             assert np.array_equal(got, np.stack(ref))
 
+    @pytest.mark.parametrize("alpha, t, power", [(780.0, "2.5", "inf"),
+                                                 (1100.0, "0.5", "0")])
+    def test_alpha_refused_before_any_field(self, fig1, monkeypatch, alpha,
+                                            t, power):
+        # z = x / t^alpha would be 0 where t^alpha overflows, inf where it
+        # underflows to 0
+        def no_fields(*args):
+            raise AssertionError("a field was evaluated")
+
+        monkeypatch.setattr(verify, "eval_fields", no_fields)
+        system = dataclasses.replace(fig1, alpha=alpha)
+        with pytest.raises(ValueError, match=re.escape(
+                f"config field 'alpha' = {alpha:g} is too large for t in "
+                f"[0.5, 2.5]: t^alpha is {power} at t = {t},")):
+            next(verify.grid_fields(system, GridSpec()))
+
 
 def _per_level_evolve(system, x, t0, t1, nt):
     """CN solution and L2 error with one eval_fields call per time level."""
