@@ -515,9 +515,10 @@ def grid_fields(system: CdrSystem, grid: GridSpec):
     block when t^alpha is 0 or inf at an end of the grid's t range (z =
     x / t^alpha would be inf or 0). Raises ValueError after the last block
     when a field is not finite at some grid point, naming the first such
-    field and its count over the whole grid; when that field is C and
-    1/q overflows at the smallest q = omega z^2 / 2 of the grid (at
-    x_min and t_max), it names grid.x_min instead. The fields are
+    field and its count over the whole grid; when that field is C and the
+    diffusion state's slope is not finite at the grid's smallest z (x_min
+    at t_max), where q = omega z^2 / 2 is so small that dividing by it
+    overflows, it names grid.x_min instead. The fields are
     evaluated with numpy's overflow, divide and invalid warnings off, as
     that count reports them."""
     x, ts = grid.x_points(), grid.t_points()

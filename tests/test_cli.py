@@ -298,9 +298,10 @@ class TestEvalCommand:
         "x_min-1e-170-case_b", label="{command}"))
     def test_overflowing_fields_exit_2_without_runtime_warnings(
             self, refused, entry, command):
-        # q = omega x^2 / 2 underflows to 0 at x_min and 1/q overflows:
-        # grid_fields counts the non-finite values of C itself, as numpy's
-        # divide and overflow warnings would escape run() as errors here
+        # q = omega x^2 / 2 underflows to 0 at x_min = 1e-170 and the slope
+        # of the diffusion state divides by it; grid_fields counts the
+        # non-finite values itself, as numpy's divide and overflow warnings
+        # would escape run() as errors here
         refused(entry, command)
 
     # nt is the small grid; the check also runs 4 nt levels
@@ -560,8 +561,9 @@ def test_refusal(refused, entry, command):
 def test_refusal_table_is_well_formed():
     # a typo in the table must not pass vacuously
     assert len(REFUSALS) == len(_TABLE)  # ids are unique
-    paths = {*_TOP_FIELDS, *(f"{section}.{key}" for section in ("grid", "tolerances")
-                            for key in DEFAULT_CONFIG[section])}
+    paths = {*_TOP_FIELDS, *(f"{section}.{key}"
+                             for section in ("grid", "tolerances")
+                             for key in DEFAULT_CONFIG[section])}
     for entry in _TABLE:
         assert entry["exit"] == 2
         assert entry["commands"]
