@@ -124,14 +124,18 @@ def _reduce_bands(bands):
         if not b_odd.all():
             raise ZeroDivisionError("zero pivot in an eliminated row")
         inv_b = 1.0 / b_odd
-        alpha = -lower[:, 1:] * inv_b
-        gamma = -upper[:, :-1] * inv_b
+        alpha = -lower[:, 1:]
+        alpha *= inv_b
+        gamma = -upper[:, :-1]
+        gamma *= inv_b
         np.add(diag[:, 1:], alpha * c_odd, out=diag[:, 1:])
         np.add(diag[:, :-1], gamma * a_odd, out=diag[:, :-1])
         lower[:, 0] = upper[:, -1] = 0.0
         np.multiply(alpha, a_odd, out=lower[:, 1:])
         np.multiply(gamma, c_odd, out=upper[:, :-1])
-        levels.append((alpha, gamma, inv_b, a_odd * inv_b, c_odd * inv_b))
+        a_odd *= inv_b  # the odd rows' own copies, read above for the last time
+        c_odd *= inv_b
+        levels.append((alpha, gamma, inv_b, a_odd, c_odd))
     return levels, bands
 
 
@@ -168,10 +172,21 @@ def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h,
     d, c = d_levels, c_levels
     bands = np.zeros((3, d.shape[0], width))
     lower, diag, upper = bands
-    lower[:, inner] = -0.5 * dt * (d[:, :-2] * inv_h2 + c[:, :-2] * inv_2h)
+    # each term in place in a temporary, then copied: in place on the
+    # strided band rows takes longer
+    term = d[:, :-2] * inv_h2
+    term += c[:, :-2] * inv_2h
+    term *= -0.5 * dt
+    lower[:, inner] = term
     diag[:] = 1.0
-    diag[:, inner] = 1.0 + dt * d[:, 1:-1] * inv_h2
-    upper[:, inner] = -0.5 * dt * (d[:, 2:] * inv_h2 - c[:, 2:] * inv_2h)
+    term = dt * d[:, 1:-1]
+    term *= inv_h2
+    term += 1.0
+    diag[:, inner] = term
+    term = d[:, 2:] * inv_h2
+    term -= c[:, 2:] * inv_2h
+    term *= -0.5 * dt
+    upper[:, inner] = term
     levels, core = _reduce_bands(bands[:, first:])
 
     b_full, w = np.zeros(width), np.zeros(width)  # padded rows stay 0 in b

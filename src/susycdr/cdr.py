@@ -126,18 +126,22 @@ class CdrSystem:
         """Convection profile tau = 2 sigma' + alpha z (``order=0``) or its
         slope tau' = 2 sigma'' + alpha (``order=1``), from the diffusion jet
         (sigma, sigma', ...)."""
-        g = sigma_jet[order + 1]
-        return 2.0 * g + (self.alpha * np.asarray(z) if order == 0 else self.alpha)
+        tau = 2.0 * sigma_jet[order + 1]
+        tau += self.alpha * np.asarray(z) if order == 0 else self.alpha
+        return tau
 
     def reaction(self, z, y, sigma):
         """Reaction profile rho from the solution and diffusion values at z."""
         if self.case_tag is CaseTag.FPE:
             return np.zeros(np.shape(z))
         if self.case_tag is CaseTag.CASE_A:
-            return -self.delta_e * sigma * y
-        dv = (self.family.potential(self.sigma_state.s, z)
-              - self.family.potential(self.y_state.s, z))
-        return dv * sigma * y
+            rho = -self.delta_e * sigma
+        else:
+            rho = self.family.potential(self.sigma_state.s, z)
+            rho -= self.family.potential(self.y_state.s, z)
+            rho *= sigma
+        rho *= y
+        return rho
 
     def __repr__(self):
         (n, s), (np_, sp) = self.indices

@@ -97,21 +97,30 @@ def _half_line_q(omega, x, derivative=False):
             raise ValueError("eigenstate derivative requires x > 0")
     elif (x < 0.0).any():
         raise ValueError("eigenstate evaluation requires x >= 0")
-    return x, 0.5 * omega * x * x
+    q = 0.5 * omega * x
+    q *= x
+    return x, q
 
 
 def _log_envelope(q, power):
     """p ln q - q/2, the logarithm of q^p exp(-q/2) (-inf at q = 0)."""
     with np.errstate(divide="ignore"):
-        return power * np.log(q) - 0.5 * q
+        envelope = np.log(q)
+    envelope *= power
+    envelope -= 0.5 * q
+    return envelope
 
 
 def _values(q, power, log_norms, lags):
     """u_n = exp(ln N_n + (p ln q - q/2)) L_n^a(q) for each pair of
     ``log_norms`` and ``lags`` (the L_n^a(q)), from one logarithm of q."""
     envelope = _log_envelope(q, power)
-    return [np.exp(log_norm + envelope) * lag
-            for log_norm, lag in zip(log_norms, lags)]
+    values = []
+    for log_norm, lag in zip(log_norms, lags):
+        u = np.exp(log_norm + envelope)
+        u *= lag
+        values.append(u)
+    return values
 
 
 class RadialOscillatorFamily:
@@ -135,7 +144,9 @@ class RadialOscillatorFamily:
 
     def potential(self, s: int, x):
         # V_s(x) = V_0(x; a_s) + sum of the s remainders (2*omega each)
-        return base_potential(self.shifted_params(s), x) + 2.0 * self.omega * s
+        v = base_potential(self.shifted_params(s), x)
+        v += 2.0 * self.omega * s
+        return v
 
     def energy(self, s: int, n: int) -> float:
         if s < 0 or n < 0:
@@ -172,7 +183,11 @@ def base_potential(params: OscillatorParams, x):
     if (x <= 0.0).any():
         raise ValueError("potential evaluation requires x > 0")
     w, l = params.omega, params.ell
-    return 0.25 * w * w * x * x + l * (l + 1.0) / (x * x) - w * (l + 1.5)
+    v = 0.25 * w * w * x
+    v *= x
+    v += l * (l + 1.0) / np.square(x)
+    v -= w * (l + 1.5)
+    return v
 
 
 class Eigenstate:
@@ -232,14 +247,31 @@ class Eigenstate:
         lag, lag_d = lags[0], -lags[1]
         base = np.exp(self._log_norm + _log_envelope(q, p))
         inv_q = 1.0 / q
-        du_dq = base * ((p * inv_q - 0.5) * lag + lag_d)
         dq_dx = self._omega * x
-        jet = [base * lag, du_dq * dq_dx]
+        du_dq = p * inv_q
+        du_dq -= 0.5
+        du_dq *= lag
+        du_dq += lag_d
+        du_dq *= base
         if order == 2:
-            d2u_dq2 = base * ((((p * (p - 1.0)) * inv_q - p) * inv_q + 0.25) * lag
-                              + (2.0 * p * inv_q - 1.0) * lag_d + lags[2])
-            jet.append(d2u_dq2 * dq_dx * dq_dx + du_dq * self._omega)
-        return tuple(jet)
+            # u'' = d2u/dq2 (dq/dx)^2 + du/dq omega
+            u_dd = p * (p - 1.0) * inv_q
+            u_dd -= p
+            u_dd *= inv_q
+            u_dd += 0.25
+            u_dd *= lag
+            lag_d_term = 2.0 * p * inv_q
+            lag_d_term -= 1.0
+            lag_d_term *= lag_d
+            u_dd += lag_d_term
+            u_dd += lags[2]
+            u_dd *= base
+            u_dd *= dq_dx
+            u_dd *= dq_dx
+            u_dd += du_dq * self._omega
+        du_dq *= dq_dx
+        base *= lag
+        return (base, du_dq) if order == 1 else (base, du_dq, u_dd)
 
     def nodes(self) -> np.ndarray:
         """The n zeros of u on x > 0, ascending: x = sqrt(2 q / omega) at

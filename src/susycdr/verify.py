@@ -213,13 +213,31 @@ def _analytic_terms(system, x, ts):
     sig, sig_d, sig_dd = sig_jet
     c = system.convection(z, sig_jet)
     c_d = system.convection(z, sig_jet, order=1)
+    reac = system.reaction(z, y, sig)
+    reac *= _time_column(ts, system.rho_exp)
     t_mu1 = _time_column(ts, system.mu - 1.0)
-    dt_p = t_mu1 * (system.mu * y - system.alpha * z * y_d)
-    dx_cp = t_mu1 * (c_d * y + c * y_d)
-    dxx_dp = t_mu1 * (sig_dd * y + 2.0 * sig_d * y_d + sig * y_dd)
-    reac = _time_column(ts, system.rho_exp) * system.reaction(z, y, sig)
-    p = _time_column(ts, system.mu) * y
-    return p, dt_p, dx_cp, dxx_dp, reac
+    # z, the jets, c and c_d are this call's own: each term accumulates in
+    # place in arrays read for the last time, in the written order
+    dt_p = system.mu * y
+    z *= system.alpha
+    z *= y_d
+    dt_p -= z
+    dt_p *= t_mu1
+    dx_cp = c_d
+    dx_cp *= y
+    c *= y_d
+    dx_cp += c
+    dx_cp *= t_mu1
+    dxx_dp = sig_dd
+    dxx_dp *= y
+    sig_d *= 2.0
+    sig_d *= y_d
+    dxx_dp += sig_d
+    sig *= y_dd
+    dxx_dp += sig
+    dxx_dp *= t_mu1
+    y *= _time_column(ts, system.mu)
+    return y, dt_p, dx_cp, dxx_dp, reac
 
 
 def _fd_terms(system, x, ts, fd_step):
@@ -240,7 +258,9 @@ def _fd_terms(system, x, ts, fd_step):
 
     def fluxes_at(k):
         p, d, c = eval_fields(system, x + k * h_x, t, "PDC")
-        return c * p, d * p
+        c *= p
+        d *= p
+        return c, d
 
     # dt_p = (-P(2) + 8 P(1) - 8 P(-1) + P(-2)) / (12 h_t)
     dt_p = -p_at(2)
@@ -256,7 +276,9 @@ def _fd_terms(system, x, ts, fd_step):
     dx_cp += 8 * cp
     dxx_dp += 16 * dp
     p, d, _, reac = eval_fields(system, x, t, "PDCR")
-    dxx_dp -= 30 * (d * p)
+    d *= p
+    d *= 30
+    dxx_dp -= d
     cp, dp = fluxes_at(-1)
     dx_cp -= 8 * cp
     dxx_dp += 16 * dp
@@ -308,8 +330,8 @@ def pde_residual(system: CdrSystem, grid: GridSpec, mode: str = "analytic",
                 terms = _analytic_terms(system, x, levels)
             else:
                 terms = _fd_terms(system, x, levels, fd_step)
-            p, dt_p, dx_cp, dxx_dp, reac = terms
-            residual = dt_p + dx_cp
+            p, residual, dx_cp, dxx_dp, reac = terms
+            residual += dx_cp  # dt_p, read nowhere else
             residual -= dxx_dp
             residual -= reac
             yield residual, (p, dx_cp, dxx_dp, reac), (
@@ -530,6 +552,14 @@ def grid_fields(system: CdrSystem, grid: GridSpec):
                 f"config field 'alpha' = {system.alpha:g} is too large for t "
                 f"in [{grid.t_min:g}, {grid.t_max:g}]: t^alpha is {power:g} at "
                 f"t = {t:g}, where z = x / t^alpha must be finite and above 0")
+    # the grid's smallest z is x_min over the larger end of t^alpha
+    t, power = max(zip((grid.t_min, grid.t_max), t_alpha.tolist()),
+                   key=lambda end: end[1])
+    if grid.x_min / power == 0.0:
+        raise ValueError(
+            f"config field 'grid.x_min' = {grid.x_min:g} is too small: "
+            f"z = x_min / t^alpha rounds to 0 at t = {t:g} (alpha = "
+            f"{system.alpha:g}), where the fields need z above 0")
     bad = np.zeros(4, dtype=np.int64)
     for start in range(0, grid.nt, LEVEL_BLOCK):
         levels = ts[start:start + LEVEL_BLOCK]
@@ -578,6 +608,27 @@ def _check_allowed_intervals(system: CdrSystem, grid: GridSpec):
             f"interval [{x_lo:.6g}, {x_hi:.6g}] of the {role} state (n={state.n}, "
             f"s={state.s}) for omega={family.omega:g}, ell={family.ell:g} and "
             "holds only its tail")
+
+
+def _check_jets_finite(system: CdrSystem, grid: GridSpec):
+    """ValueError naming grid.x_min when the second-order jet of the
+    solution or the diffusion state is not finite at the smallest z a
+    residual row evaluates, min(x_min, x_min / t^alpha) over the grid's t
+    range, where q = omega z^2 / 2 is smallest: u'' divides by q^2, and
+    overflows there at a larger x_min than the fields (first-order jets)."""
+    z = min(grid.x_min, *(grid.x_min / t ** system.alpha
+                          for t in (grid.t_min, grid.t_max)))
+    for role, state in (("solution", system.y_state),
+                        ("diffusion", system.sigma_state)):
+        with np.errstate(all="ignore"):
+            jet = state.jet(z)
+        if not all(np.isfinite(jet)):
+            raise ValueError(
+                f"config field 'grid.x_min' = {grid.x_min:g} is too small: the "
+                f"second-order jet of the {role} state (n={state.n}, "
+                f"s={state.s}) is not finite at z = {z:g}, the smallest z a "
+                "residual row evaluates, where u'' divides by q^2 and q = "
+                f"omega z^2 / 2 is {0.5 * system.family.omega * z * z:g}")
 
 
 def evolve_window(system: CdrSystem, grid: GridSpec) -> GridSpec:
@@ -650,7 +701,9 @@ def run_suite(system: CdrSystem, grid: GridSpec, tolerances: dict,
     degrees are at most ``GRAM_MAX_DEGREE``; then, from one
     :func:`grid_fields` pass, every field is finite on the grid, the grid
     meets both states' allowed intervals, P is not 0 on a whole time level,
-    and :func:`evolve_window` is not empty (else ValueError naming the field)."""
+    :func:`evolve_window` is not empty, and both states' second-order jets
+    are finite at the smallest z a residual row evaluates (else ValueError
+    naming the field)."""
     for key, state in (("n", system.y_state),
                        (_DIFFUSION_DEGREE_FIELD[system.case_tag],
                         system.sigma_state)):
@@ -668,6 +721,7 @@ def run_suite(system: CdrSystem, grid: GridSpec, tolerances: dict,
             f"{grid.x_max:g}] at time level t = {zero_p[0]:.6g} (it "
             "underflows): the residual rows would compare zeros there")
     window = evolve_window(system, grid)
+    _check_jets_finite(system, grid)
     rows = []
     for key, label, run_oracle, metric, tol_key in _VERIFY_ROWS:
         record = run_oracle(system, grid, window)
