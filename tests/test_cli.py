@@ -333,6 +333,22 @@ class TestEvalCommand:
         assert np.any(rows[:, 2] != 0.0)
 
 
+    @pytest.mark.parametrize("entry", [
+        "x_min-1e-100-case_b", "x_min-1e-100-fpe", "x_min-1e-140-case_b",
+        "x_min-1e-140-fpe"])
+    def test_grid_only_verify_refuses_evaluates(self, tmp_path, capsys,
+                                                entry):
+        # verify refuses these grids for the second-order jets of its
+        # residual rows; the fields take first-order jets only
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(REFUSALS[entry]["config"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--config", str(config), "--out",
+                        str(tmp_path / "out"), "eval"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestVerifyCommand:
     def test_default_verify_passes(self, capsys):
         assert run(["verify"]) == 0
@@ -402,6 +418,19 @@ class TestVerifyCommand:
         config.write_text(json.dumps({"omega": 1.0, "ell": 0.5, "alpha": 1.0,
                                       **indices}))
         assert run(["--config", str(config), "verify"]) == 0
+        assert capsys.readouterr().out.endswith("verification: PASS\n")
+
+    def test_tiny_x_min_passes_where_the_jets_have_no_q2_term(
+            self, tmp_path, capsys):
+        # case_a's u_3 and u_1 at ell = 1 have p (p - 1) = 0, so their
+        # second-order jets stay finite at x_min = 1e-100
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "omega": 1.0, "ell": 1.0, "alpha": 1.2, "case": "case_a", "n": 3,
+            "m": 1, "grid": {"x_min": 1e-100}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--config", str(config), "verify"]) == 0
         assert capsys.readouterr().out.endswith("verification: PASS\n")
 
     def test_absurd_tolerance_fails_with_exit_1(self, capsys):
