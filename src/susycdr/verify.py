@@ -346,8 +346,10 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
     """Gram matrix G[m, n] = integral of u_m u_n over (0, inf), m, n <= n_max.
 
     ``n_max`` runs from 0 to ``GRAM_MAX_DEGREE`` (8). Every entry runs its
-    own adaptive Gauss-Kronrod 30/61 quadrature (no symmetry shortcut); the
-    quadrature is the arbiter of the normalization convention. The
+    own adaptive Gauss-Kronrod 30/61 quadrature; the quadrature is the
+    arbiter of the normalization convention. Entries (m, n) and (n, m)
+    integrate the same floats, as IEEE products commute, so the matrix is
+    bitwise symmetric, yet the lower triangle is integrated again. The
     panels of all entries bisect one interval, so the states are
     evaluated once per distinct node array, all n_max + 1 of them in one
     ``family.eigenstate_values`` call, and their values shared for the
@@ -530,19 +532,43 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec,
     return EvolveReport(entries=tuple(entries), ratios=ratios)
 
 
+def _check_x_min_jets(system: CdrSystem, x_min: float, z: float, roles,
+                      order: int):
+    """ValueError naming grid.x_min when the ``order`` jet of a state in
+    ``roles`` ("solution", "diffusion") is not finite at ``z``, the
+    smallest z a command evaluates, where q = omega z^2 / 2 is smallest:
+    u' divides by q and u'' by q^2. At z = 0 no jet is defined, so every
+    state fails there, unevaluated."""
+    q = 0.5 * system.family.omega * z * z
+    jet, divides = (("first", "u' divides by q") if order == 1
+                    else ("second", "u'' divides by q^2"))
+    for role in roles:
+        state = system.y_state if role == "solution" else system.sigma_state
+        if z > 0.0:
+            with np.errstate(all="ignore"):
+                if all(np.isfinite(state.jet(z, order))):
+                    continue
+        raise ValueError(
+            f"config field 'grid.x_min' = {x_min:g} is too small: the "
+            f"{jet}-order jet of the {role} state (n={state.n}, s={state.s}) "
+            f"is not finite at z = {z:g}, the smallest z evaluated, where "
+            f"q = omega z^2 / 2 is {q:g} and {divides}")
+
+
 def grid_fields(system: CdrSystem, grid: GridSpec):
     """(levels, (P, D, C, R)) of each block of ``LEVEL_BLOCK`` grid time
     levels, in time order, each field a (len(levels), nx) array from one
     field evaluation. Raises ValueError naming alpha before the first
     block when t^alpha is 0 or inf at an end of the grid's t range (z =
-    x / t^alpha would be inf or 0). Raises ValueError after the last block
-    when a field is not finite at some grid point, naming the first such
-    field and its count over the whole grid; when that field is C and the
-    diffusion state's slope is not finite at the grid's smallest z (x_min
-    at t_max), where q = omega z^2 / 2 is so small that dividing by it
-    overflows, it names grid.x_min instead. The fields are
-    evaluated with numpy's overflow, divide and invalid warnings off, as
-    that count reports them."""
+    x / t^alpha would be inf or 0), and naming grid.x_min when the grid's
+    smallest z (x_min at the larger end of t^alpha) is 0. Raises
+    ValueError after the last block when a field is not finite at some
+    grid point, naming the first such field and its count over the whole
+    grid; when that field is C, whose slope of the diffusion state divides
+    by q, the first-order jet of that state is checked at the smallest z
+    first (:func:`_check_x_min_jets`). The fields are evaluated with
+    numpy's overflow, divide and invalid warnings off, as that count
+    reports them."""
     x, ts = grid.x_points(), grid.t_points()
     with np.errstate(over="ignore"):
         t_alpha = ts[[0, -1]] ** system.alpha
@@ -552,14 +578,9 @@ def grid_fields(system: CdrSystem, grid: GridSpec):
                 f"config field 'alpha' = {system.alpha:g} is too large for t "
                 f"in [{grid.t_min:g}, {grid.t_max:g}]: t^alpha is {power:g} at "
                 f"t = {t:g}, where z = x / t^alpha must be finite and above 0")
-    # the grid's smallest z is x_min over the larger end of t^alpha
-    t, power = max(zip((grid.t_min, grid.t_max), t_alpha.tolist()),
-                   key=lambda end: end[1])
-    if grid.x_min / power == 0.0:
-        raise ValueError(
-            f"config field 'grid.x_min' = {grid.x_min:g} is too small: "
-            f"z = x_min / t^alpha rounds to 0 at t = {t:g} (alpha = "
-            f"{system.alpha:g}), where the fields need z above 0")
+    z_min = grid.x_min / max(t_alpha.tolist())
+    if z_min == 0.0:
+        _check_x_min_jets(system, grid.x_min, z_min, ("diffusion",), 1)
     bad = np.zeros(4, dtype=np.int64)
     for start in range(0, grid.nt, LEVEL_BLOCK):
         levels = ts[start:start + LEVEL_BLOCK]
@@ -571,17 +592,8 @@ def grid_fields(system: CdrSystem, grid: GridSpec):
     for name, count in zip("PDCR", bad.tolist()):
         if not count:
             continue
-        if name == "C":  # sigma' divides by q, smallest at (x_min, t_max)
-            z = grid.x_min / t_alpha[-1]
-            with np.errstate(all="ignore"):
-                slope = system.sigma_state.jet(z, 1)[1]
-            if not np.isfinite(slope):
-                raise ValueError(
-                    f"config field 'grid.x_min' = {grid.x_min:g} is too small: "
-                    f"q = omega z^2 / 2 is {0.5 * system.family.omega * z * z:g}"
-                    f" at z = x_min / t_max^alpha (t_max = {grid.t_max:g}, "
-                    f"alpha = {system.alpha:g}), and the slope of the "
-                    "diffusion state that field C takes divides by q there")
+        if name == "C":
+            _check_x_min_jets(system, grid.x_min, z_min, ("diffusion",), 1)
         raise ValueError(
             f"field {name} is not finite at {count} of {grid.nx * grid.nt} "
             f"grid points for omega={system.family.omega:g}, "
@@ -608,27 +620,6 @@ def _check_allowed_intervals(system: CdrSystem, grid: GridSpec):
             f"interval [{x_lo:.6g}, {x_hi:.6g}] of the {role} state (n={state.n}, "
             f"s={state.s}) for omega={family.omega:g}, ell={family.ell:g} and "
             "holds only its tail")
-
-
-def _check_jets_finite(system: CdrSystem, grid: GridSpec):
-    """ValueError naming grid.x_min when the second-order jet of the
-    solution or the diffusion state is not finite at the smallest z a
-    residual row evaluates, min(x_min, x_min / t^alpha) over the grid's t
-    range, where q = omega z^2 / 2 is smallest: u'' divides by q^2, and
-    overflows there at a larger x_min than the fields (first-order jets)."""
-    z = min(grid.x_min, *(grid.x_min / t ** system.alpha
-                          for t in (grid.t_min, grid.t_max)))
-    for role, state in (("solution", system.y_state),
-                        ("diffusion", system.sigma_state)):
-        with np.errstate(all="ignore"):
-            jet = state.jet(z)
-        if not all(np.isfinite(jet)):
-            raise ValueError(
-                f"config field 'grid.x_min' = {grid.x_min:g} is too small: the "
-                f"second-order jet of the {role} state (n={state.n}, "
-                f"s={state.s}) is not finite at z = {z:g}, the smallest z a "
-                "residual row evaluates, where u'' divides by q^2 and q = "
-                f"omega z^2 / 2 is {0.5 * system.family.omega * z * z:g}")
 
 
 def evolve_window(system: CdrSystem, grid: GridSpec) -> GridSpec:
@@ -702,8 +693,8 @@ def run_suite(system: CdrSystem, grid: GridSpec, tolerances: dict,
     :func:`grid_fields` pass, every field is finite on the grid, the grid
     meets both states' allowed intervals, P is not 0 on a whole time level,
     :func:`evolve_window` is not empty, and both states' second-order jets
-    are finite at the smallest z a residual row evaluates (else ValueError
-    naming the field)."""
+    are finite at the smallest z a residual row evaluates
+    (:func:`_check_x_min_jets`); else ValueError naming the field."""
     for key, state in (("n", system.y_state),
                        (_DIFFUSION_DEGREE_FIELD[system.case_tag],
                         system.sigma_state)):
@@ -721,7 +712,11 @@ def run_suite(system: CdrSystem, grid: GridSpec, tolerances: dict,
             f"{grid.x_max:g}] at time level t = {zero_p[0]:.6g} (it "
             "underflows): the residual rows would compare zeros there")
     window = evolve_window(system, grid)
-    _check_jets_finite(system, grid)
+    # the Schroedinger and reduced-equation rows take the jets at the x
+    # grid, the PDE row at z = x / t^alpha
+    z_min = min(grid.x_min, *(grid.x_min / t ** system.alpha
+                              for t in (grid.t_min, grid.t_max)))
+    _check_x_min_jets(system, grid.x_min, z_min, ("solution", "diffusion"), 2)
     rows = []
     for key, label, run_oracle, metric, tol_key in _VERIFY_ROWS:
         record = run_oracle(system, grid, window)

@@ -283,16 +283,19 @@ class TestEvalCommand:
     def test_non_finite_field_leaves_an_existing_out_dir_as_it_was(
             self, tmp_path, capsys):
         # the CSV is streamed to a file beside fields.csv; the error comes
-        # after the last block and removes that file, the old CSV stays
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(REFUSALS["ell-1e200-nt40"]["config"]))
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        (out_dir / "fields.csv").write_text("old\n")
-        assert run(["--config", str(config), "--out", str(out_dir), "eval"]) == 2
-        assert "field P is not finite" in capsys.readouterr().err
-        assert [p.name for p in out_dir.iterdir()] == ["fields.csv"]
-        assert (out_dir / "fields.csv").read_text() == "old\n"
+        # after the last block and removes that file, the old CSV stays,
+        # whether the error names the field or grid.x_min
+        for entry in ("ell-1e200-nt40", "x_min-1e-170-case_b"):
+            config = tmp_path / f"{entry}.json"
+            config.write_text(json.dumps(REFUSALS[entry]["config"]))
+            out_dir = tmp_path / entry
+            out_dir.mkdir()
+            (out_dir / "fields.csv").write_text("old\n")
+            assert run(["--config", str(config), "--out", str(out_dir),
+                        "eval"]) == 2, entry
+            assert REFUSALS[entry]["stderr"] in capsys.readouterr().err
+            assert [p.name for p in out_dir.iterdir()] == ["fields.csv"]
+            assert (out_dir / "fields.csv").read_text() == "old\n"
 
     @pytest.mark.parametrize("entry,command", refusal_cases(
         "x_min-1e-170-case_b", label="{command}"))
@@ -335,7 +338,7 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("entry", [
         "x_min-1e-100-case_b", "x_min-1e-100-fpe", "x_min-1e-140-case_b",
-        "x_min-1e-140-fpe"])
+        "x_min-1e-140-fpe", "x_min-1e-100-case_b-diffusion"])
     def test_grid_only_verify_refuses_evaluates(self, tmp_path, capsys,
                                                 entry):
         # verify refuses these grids for the second-order jets of its

@@ -484,8 +484,14 @@ class TestOrthonormality:
         np.testing.assert_allclose(gram, np.eye(5), rtol=0, atol=1e-8)
 
     def test_gram_matrix_symmetric(self, family):
-        gram = orthonormality_matrix(family, s=1, n_max=3)
-        assert np.max(np.abs(gram - gram.T)) <= 1e-12
+        # bitwise: entries (m, n) and (n, m) integrate the same floats, as
+        # IEEE products commute; n_max = 8 in the benchmark's ranges too
+        cases = [(family, 1, 3)] + [
+            (RadialOscillatorFamily(OscillatorParams(omega, ell)), s, 8)
+            for omega, ell, s in [(0.6, 0.5, 0), (1.1, 1.2, 2), (1.6, 2.0, 3)]]
+        for fam, s, n_max in cases:
+            gram = orthonormality_matrix(fam, s, n_max)
+            assert np.array_equal(gram, gram.T), (fam.omega, fam.ell, s)
 
     def test_rejects_large_n_max(self, family):
         with pytest.raises(ValueError):
@@ -765,6 +771,18 @@ class TestGridFields:
                 f"[0.5, 2.5]: t^alpha is {power} at t = {t},")):
             next(verify.grid_fields(system, GridSpec()))
 
+
+    def test_z_of_0_refused_before_any_field(self, fig1, monkeypatch):
+        # x_min / t_max^alpha rounds to 0, where no jet is defined
+        def no_fields(*args):
+            raise AssertionError("a field was evaluated")
+
+        monkeypatch.setattr(verify, "eval_fields", no_fields)
+        with pytest.raises(ValueError, match=re.escape(
+                "config field 'grid.x_min' = 4.94066e-324 is too small: the "
+                "first-order jet of the diffusion state (n=1, s=3) is not "
+                "finite at z = 0,")):
+            next(verify.grid_fields(fig1, GridSpec(x_min=5e-324)))
 
 def _per_level_evolve(system, x, t0, t1, nt):
     """CN solution and L2 error with one eval_fields call per time level."""
