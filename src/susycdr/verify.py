@@ -564,9 +564,9 @@ def grid_fields(system: CdrSystem, grid: GridSpec):
     smallest z (x_min at the larger end of t^alpha) is 0. Raises
     ValueError after the last block when a field is not finite at some
     grid point, naming the first such field and its count over the whole
-    grid; when that field is C, whose slope of the diffusion state divides
-    by q, the first-order jet of that state is checked at the smallest z
-    first (:func:`_check_x_min_jets`). The fields are evaluated with
+    grid; when that field is C, which takes the diffusion state's slope,
+    that state's first-order jet is checked at the smallest z first
+    (:func:`_check_x_min_jets`). The fields are evaluated with
     numpy's overflow, divide and invalid warnings off, as that count
     reports them."""
     x, ts = grid.x_points(), grid.t_points()
