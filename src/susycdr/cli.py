@@ -34,7 +34,8 @@ import numpy as np
 from .cdr import (CaseTag, CdrSystem, build_case_a, build_case_b, build_fpe,
                   eval_fields, swap)
 from .quantum import OscillatorParams, RadialOscillatorFamily
-from .verify import GridSpec, ResidualReport, grid_fields, run_suite
+from .verify import (DEFAULT_TOLERANCES, GridSpec, ResidualReport,
+                     grid_fields, run_suite, tolerance_floor)
 
 __all__ = ["main", "run", "RunConfig", "DEFAULT_CONFIG"]
 
@@ -50,14 +51,7 @@ DEFAULT_CONFIG = {
     "A": 1.0,
     "B": 3.0,
     "grid": asdict(GridSpec()),
-    "tolerances": {
-        "schrodinger_rel": 1e-8,
-        "ode_abs": 1e-8,
-        "pde_rel": 1e-8,
-        "orthonormality": 1e-8,
-        "evolve_ratio_lo": 3.5,
-        "evolve_ratio_hi": 4.5,
-    },
+    "tolerances": dict(DEFAULT_TOLERANCES),
 }
 
 # Laguerre index fields of each case, in the order they are read.
@@ -148,6 +142,15 @@ def _reject_unknown(data, known, section=None):
                               f"fields: {', '.join(known)}")
 
 
+def _section(data, name):
+    """The fields of object ``name`` of ``data``: each key of
+    ``DEFAULT_CONFIG[name]``, of its default's type, or its default."""
+    section = _require(data, name, dict, {})
+    _reject_unknown(section, DEFAULT_CONFIG[name], name)
+    return {key: _require(section, key, type(default), default, name)
+            for key, default in DEFAULT_CONFIG[name].items()}
+
+
 def parse_config(data: dict) -> RunConfig:
     """Validate a config mapping; raises ConfigError naming the bad field.
 
@@ -195,24 +198,14 @@ def parse_config(data: dict) -> RunConfig:
 
     coeff_a = _require(data, "A", float, 1.0)
     coeff_b = _require(data, "B", float, 1.0)
-    grid_data = _require(data, "grid", dict, {})
-    _reject_unknown(grid_data, DEFAULT_CONFIG["grid"], "grid")
-    grid_values = {
-        key: _require(grid_data, key, type(default), default, "grid")
-        for key, default in DEFAULT_CONFIG["grid"].items()
-    }
+    grid_values = _section(data, "grid")
     try:
         grid = GridSpec(**grid_values)
     except ValueError as exc:
         raise ConfigError(f"config field 'grid': {exc}")
-    tol_data = _require(data, "tolerances", dict, {})
-    _reject_unknown(tol_data, DEFAULT_CONFIG["tolerances"], "tolerances")
-    tolerances = {
-        key: _require(tol_data, key, float, default, "tolerances")
-        for key, default in DEFAULT_CONFIG["tolerances"].items()
-    }
+    tolerances = _section(data, "tolerances")
     for key, value in tolerances.items():
-        low = tolerances["evolve_ratio_lo"] if key == "evolve_ratio_hi" else 0.0
+        low = tolerance_floor(tolerances, key)
         if not value > low:
             raise ConfigError(f"config field 'tolerances.{key}' must be above "
                               f"{low:g}, got {value:g}")
@@ -328,7 +321,7 @@ def _cmd_verify(config: RunConfig, tol_override: float | None,
             else:
                 payload[key] = record
         path = out_dir / "verify_report.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        path.write_text(json.dumps(payload, indent=2, default=asdict) + "\n")
         print(f"wrote {path}")
     return 0 if all_ok else 1
 

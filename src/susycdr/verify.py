@@ -32,6 +32,8 @@ __all__ = [
     "evolve_window",
     "grid_fields",
     "run_suite",
+    "tolerance_floor",
+    "DEFAULT_TOLERANCES",
     "GRAM_MAX_DEGREE",
 ]
 
@@ -434,15 +436,15 @@ def positive_diffusion_x_max(system: CdrSystem, x_max: float) -> float:
 
 @dataclass(frozen=True)
 class EvolveReport:
-    """Crank-Nicolson cross-check results.
+    """Crank-Nicolson cross-check record, the time-stepper row's.
 
     ``entries`` holds (nx, nt, l2_error) per resolution, coarsest first;
-    ``ratios[k]`` is entries[k]'s error over entries[k + 1]'s, about 4
-    when the stepper converges at second order.
+    ``error_ratio`` is the first error over the second, about 4 when the
+    stepper converges at second order.
     """
 
     entries: tuple
-    ratios: tuple
+    error_ratio: float
 
 
 def _evolve_single(system, x, t0, t1, nt):
@@ -486,19 +488,17 @@ def _evolve_single(system, x, t0, t1, nt):
     return p_num, err
 
 
-def evolve_oracle(system: CdrSystem, grid: GridSpec,
-                  refinements: int = 2) -> EvolveReport:
+def evolve_oracle(system: CdrSystem, grid: GridSpec) -> EvolveReport:
     """Integrate the PDE numerically from analytic data at ``grid.t_min``
     and compare with the closed form at ``grid.t_max``.
 
     Crank-Nicolson in conservative form with the closed-form reaction as a
     known source at the half step and analytic Dirichlet values at both
-    ends. Runs ``refinements`` resolutions from ``grid.nx`` by ``grid.nt``,
-    doubling both each time, and reports the discrete L2 errors and their
-    ratios. A grid with t_min == t_max has nothing to integrate, and
-    ``refinements`` below 1 runs nothing; both raise ValueError, as does
-    an error of exactly 0 (P vanishes on the window, or is so small that
-    the squared errors underflow).
+    ends. Runs ``grid.nx`` by ``grid.nt`` and twice both, and reports the
+    discrete L2 errors and their ratio. A grid with t_min == t_max has
+    nothing to integrate and raises ValueError, as does an error of
+    exactly 0 (P vanishes on the window, or is so small that the squared
+    errors underflow).
 
     Each resolution streams: D and C are evaluated at the levels whose
     implicit operators one block of ``LEVEL_BLOCK`` steps builds (t0 too
@@ -512,12 +512,8 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec,
     """
     if grid.t_min == grid.t_max:
         raise ValueError(f"need t_min < t_max, got both {grid.t_min}")
-    if refinements < 1:
-        raise ValueError(f"refinements must be >= 1, got {refinements}")
     entries = []
-    for level in range(refinements):
-        nx = grid.nx * 2 ** level
-        nt = grid.nt * 2 ** level
+    for nx, nt in ((grid.nx, grid.nt), (2 * grid.nx, 2 * grid.nt)):
         x = np.linspace(grid.x_min, grid.x_max, nx)
         _, err = _evolve_single(system, x, grid.t_min, grid.t_max, nt)
         if err == 0.0:
@@ -527,9 +523,8 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec,
                 f"{grid.x_max:g}] (the squared errors underflow), so the "
                 "errors have no ratio")
         entries.append((nx, nt, err))
-    ratios = tuple(entries[k][2] / entries[k + 1][2]
-                   for k in range(len(entries) - 1))
-    return EvolveReport(entries=tuple(entries), ratios=ratios)
+    return EvolveReport(entries=tuple(entries),
+                        error_ratio=entries[0][2] / entries[1][2])
 
 
 def _check_x_min_jets(system: CdrSystem, x_min: float, z: float, roles,
@@ -649,39 +644,46 @@ def _gram_deviation(system: CdrSystem) -> float:
     return worst
 
 
-def _evolve_record(system: CdrSystem, window: GridSpec) -> dict:
-    """CN errors at two resolutions and their ratio (about 4 for 2nd order)."""
-    report = evolve_oracle(system, window)
-    return {
-        "entries": [list(entry) for entry in report.entries],
-        "error_ratio": report.ratios[0],
-    }
-
-
-# One row per oracle: (report key, label, run(system, grid, window) -> record,
-# metric(record) -> value, tolerance key or (low, high) keys). Each run looks
-# its oracle up as a module global when called, so a rebound name (as in
+# One row per oracle: (report key, label, run(system, grid, window) ->
+# record, the record's field the row bounds (None: the record itself),
+# tolerance key or (low, high) band of keys). Each run looks its oracle up
+# as a module global when called, so a rebound name (as in
 # perfbench/spans.py) takes effect.
 _VERIFY_ROWS = (
     ("schrodinger_solution", "schrodinger residual (solution)",
      lambda system, grid, window: schrodinger_residual(system.y_state, grid),
-     lambda rep: rep.max_rel, "schrodinger_rel"),
+     "max_rel", "schrodinger_rel"),
     ("schrodinger_diffusion", "schrodinger residual (diffusion)",
      lambda system, grid, window: schrodinger_residual(system.sigma_state, grid),
-     lambda rep: rep.max_rel, "schrodinger_rel"),
+     "max_rel", "schrodinger_rel"),
     ("reduced_equation", "reduced-equation residual",
      lambda system, grid, window: ode_residual(system, grid.x_points()),
-     lambda rep: rep.max_abs, "ode_abs"),
+     "max_abs", "ode_abs"),
     ("pde_analytic", "pde residual (analytic)",
      lambda system, grid, window: pde_residual(system, grid, mode="analytic"),
-     lambda rep: rep.max_rel, "pde_rel"),
+     "max_rel", "pde_rel"),
     ("orthonormality_deviation", "orthonormality deviation",
      lambda system, grid, window: _gram_deviation(system),
-     lambda worst: worst, "orthonormality"),
+     None, "orthonormality"),
     ("evolve", "time-stepper error ratio (2x refinement)",
-     lambda system, grid, window: _evolve_record(system, window),
-     lambda record: record["error_ratio"], ("evolve_ratio_lo", "evolve_ratio_hi")),
+     lambda system, grid, window: evolve_oracle(system, window),
+     "error_ratio", ("evolve_ratio_lo", "evolve_ratio_hi")),
 )
+
+# The default of every tolerance key a row names. Each tolerance must be
+# above 0, and a band's high bound above its low one.
+DEFAULT_TOLERANCES = {"schrodinger_rel": 1e-8, "ode_abs": 1e-8, "pde_rel": 1e-8,
+                      "orthonormality": 1e-8, "evolve_ratio_lo": 3.5,
+                      "evolve_ratio_hi": 4.5}
+# The low bound's key of each band's high bound.
+_BAND_LOW = {band[1]: band[0] for *_, band in _VERIFY_ROWS
+             if isinstance(band, tuple)}
+
+
+def tolerance_floor(tolerances: dict, key: str) -> float:
+    """The value ``tolerances[key]`` must lie above: its band's low bound
+    for a band's high one, else 0."""
+    return tolerances[_BAND_LOW[key]] if key in _BAND_LOW else 0.0
 
 
 def run_suite(system: CdrSystem, grid: GridSpec, tolerances: dict,
@@ -718,9 +720,9 @@ def run_suite(system: CdrSystem, grid: GridSpec, tolerances: dict,
                               for t in (grid.t_min, grid.t_max)))
     _check_x_min_jets(system, grid.x_min, z_min, ("solution", "diffusion"), 2)
     rows = []
-    for key, label, run_oracle, metric, tol_key in _VERIFY_ROWS:
+    for key, label, run_oracle, field, tol_key in _VERIFY_ROWS:
         record = run_oracle(system, grid, window)
-        value = metric(record)
+        value = record if field is None else getattr(record, field)
         if isinstance(tol_key, tuple):
             threshold = (tolerances[tol_key[0]], tolerances[tol_key[1]])
             ok = threshold[0] <= value <= threshold[1]

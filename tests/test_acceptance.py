@@ -171,7 +171,7 @@ def test_criterion_8_time_stepping():
         system = systems[name]
         rep = evolve_oracle(system, evolve_window(system, X_GRID))
         assert rep.entries[0][0] == 200 and rep.entries[1][0] == 400
-        ratios[name] = rep.ratios[0]
+        ratios[name] = rep.error_ratio
     low, high = TOL["evolve_ratio_lo"], TOL["evolve_ratio_hi"]
     ok = all(low <= r <= high for r in ratios.values())
     detail = ", ".join(f"{k}: ratio = {v:.2f}" for k, v in ratios.items())

@@ -15,7 +15,6 @@ from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 from susycdr import _kernels, quantum, verify
 from susycdr.cdr import (CdrSystem, build_case_a, build_case_b, build_fpe,
                          eval_fields, swap)
-from susycdr.cli import DEFAULT_CONFIG
 from susycdr.mathfn import gaussian_tail_cutoff, integrate
 from susycdr.quantum import (DEFAULT_X_MIN, OscillatorParams,
                              RadialOscillatorFamily)
@@ -513,7 +512,7 @@ class TestOrthonormality:
                 f"config field '{key}' must be at most 8 for verify, got 9: "
                 "its Gram integrates states up to degree 8")):
             verify.run_suite(build(family), GridSpec(),
-                             DEFAULT_CONFIG["tolerances"])
+                             verify.DEFAULT_TOLERANCES)
 
     def test_rejects_negative_n_max(self, family):
         with pytest.raises(ValueError, match="n_max"):
@@ -808,7 +807,7 @@ class TestEvolveOracle:
         x_hi = positive_diffusion_x_max(fig1, 8.0)
         grid = GridSpec(x_min=0.2, x_max=x_hi, nx=40, t_min=1.0, t_max=2.0,
                         nt=nt)
-        rep = evolve_oracle(fig1, grid, refinements=2)
+        rep = evolve_oracle(fig1, grid)
         for level, (nx, steps, err) in enumerate(rep.entries):
             assert (nx, steps) == (40 * 2 ** level, nt * 2 ** level)
             x = np.linspace(0.2, x_hi, nx)
@@ -847,31 +846,26 @@ class TestEvolveOracle:
         with pytest.raises(ValueError, match="t_min < t_max"):
             evolve_oracle(system, grid)
 
-    @pytest.mark.parametrize("refinements", [0, -1])
-    def test_no_refinement_rejected(self, family, refinements):
-        system = build_fpe(family, 0, 0, 1.0)
-        grid = GridSpec(nx=50, t_min=1.0, t_max=2.0, nt=10)
-        with pytest.raises(ValueError, match="refinements must be >= 1"):
-            evolve_oracle(system, grid, refinements=refinements)
-
     def test_fpe_second_order(self, family):
         system = build_fpe(family, 0, 0, 1.0)
         grid = GridSpec(x_min=0.2, x_max=8.0, nx=100, t_min=1.0, t_max=2.0,
                         nt=50)
-        rep = evolve_oracle(system, grid, refinements=3)
-        errs = [entry[2] for entry in rep.entries]
+        rep = evolve_oracle(system, grid)
+        # a third resolution, twice the oracle's second
+        _, err = _evolve_single(system, np.linspace(0.2, 8.0, 400), 1.0, 2.0,
+                                200)
+        errs = [entry[2] for entry in rep.entries] + [err]
         assert errs[0] > errs[1] > errs[2]
-        assert len(rep.ratios) == 2
-        for ratio in rep.ratios:
-            assert 1.7 <= math.log2(ratio) <= 2.3
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.7 <= math.log2(coarse / fine) <= 2.3
 
     def test_fig1_second_order_on_parabolic_domain(self, fig1):
         x_hi = positive_diffusion_x_max(fig1, 8.0)
         grid = GridSpec(x_min=0.2, x_max=x_hi, nx=100, t_min=1.0, t_max=2.0,
                         nt=50)
-        rep = evolve_oracle(fig1, grid, refinements=2)
-        assert rep.ratios == (rep.entries[0][2] / rep.entries[1][2],)
-        assert 3.5 <= rep.ratios[0] <= 4.5
+        rep = evolve_oracle(fig1, grid)
+        assert rep.error_ratio == rep.entries[0][2] / rep.entries[1][2]
+        assert 3.5 <= rep.error_ratio <= 4.5
 
     @pytest.mark.parametrize("double", ["alt_reaction_exponent",
                                         "alt_convection_profile"])
@@ -882,9 +876,9 @@ class TestEvolveOracle:
         wrong = request.getfixturevalue(double)(fig1)
         window = verify.evolve_window(fig1, GridSpec(x_min=0.2, x_max=8.0))
         rep = evolve_oracle(wrong, window)
-        low, high = (DEFAULT_CONFIG["tolerances"][key]
+        low, high = (verify.DEFAULT_TOLERANCES[key]
                      for key in ("evolve_ratio_lo", "evolve_ratio_hi"))
-        assert not low <= rep.ratios[0] <= high
+        assert not low <= rep.error_ratio <= high
 
     def test_error_decreases_monotonically_for_all_systems(self, family, fig1):
         systems = [
@@ -899,8 +893,11 @@ class TestEvolveOracle:
             x_hi = positive_diffusion_x_max(system, 8.0)
             grid = GridSpec(x_min=0.2, x_max=x_hi, nx=80, t_min=1.0,
                             t_max=2.0, nt=40)
-            rep = evolve_oracle(system, grid, refinements=3)
-            errs = [entry[2] for entry in rep.entries]
+            rep = evolve_oracle(system, grid)
+            # a third resolution, twice the oracle's second
+            _, err = _evolve_single(system, np.linspace(0.2, x_hi, 320), 1.0,
+                                    2.0, 160)
+            errs = [entry[2] for entry in rep.entries] + [err]
             assert errs[0] > errs[1] > errs[2]
 
     def test_backward_diffusion_reported_as_instability(self, fig1):
@@ -909,7 +906,7 @@ class TestEvolveOracle:
         grid = GridSpec(x_min=0.2, x_max=8.0, nx=100, t_min=1.0, t_max=2.0,
                         nt=50)
         with pytest.raises(RuntimeError, match="diverged"):
-            evolve_oracle(fig1, grid, refinements=1)
+            evolve_oracle(fig1, grid)
 
     @pytest.mark.parametrize("ell", [500.0, 1000.0])
     def test_state_outside_the_window_rejected(self, ell):
