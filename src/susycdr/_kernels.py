@@ -144,8 +144,9 @@ def _reduce_bands(bands):
 # uniform grid, central differences, Dirichlet values supplied per step.
 # d_levels/c_levels hold D and C at the levels whose implicit operators
 # A_j = I - dt/2 L_j the call builds: 0..nt, or 1..nt when the previous
-# call's last right-hand side ``rhs`` is handed in. r_half holds R at the
-# half steps (nt, nx). Second order in h and dt. Step j solves
+# call's last right-hand side ``rhs`` is handed in; any other count raises
+# ValueError. r_half holds R at the half steps (nt, nx). Second order in h
+# and dt. Step j solves
 # A_{j+1} p_{j+1} = (2 I - A_j) p_j + dt R: its right-hand side is
 # 2 p - rhs_prev + dt R, and A_0 p_0 is formed only when no rhs is handed
 # in. The bands of all nt steps are built once, padded to _padded_width,
@@ -155,8 +156,9 @@ def _reduce_bands(bands):
 # there in place: level k is every 2^k-th entry of w, the forward sweep
 # adds the odd rows' terms into the even rows, the core rows are solved
 # by thomas_solve and the back sweep overwrites the odd rows, so w[:nx]
-# ends the step holding P. Every float operation is that of the
-# row-by-row formulas, in their order.
+# ends the step holding P. A step is a fixed list of numpy calls that
+# write through ``out`` (four per level forward, five per level back), and
+# every float operation is that of the row-by-row formulas, in their order.
 # ---------------------------------------------------------------------------
 
 def cn_evolve(p0, d_levels, c_levels, r_half, bc_left, bc_right, dt, h,

@@ -6,6 +6,21 @@ z-equation, the full PDE), orthonormality re-derives the normalization by
 quadrature, and the Crank-Nicolson stepper reproduces the dynamics from
 initial data alone. A closed-form construction is accepted only when all
 of these agree.
+
+``run_suite`` is what ``susycdr verify`` runs: its preconditions, then
+the row table ``_VERIFY_ROWS``, which declares each row's oracle, the
+record field it bounds and its tolerance keys, whose defaults are
+``DEFAULT_TOLERANCES``. ``grid_fields`` is the one pass over a config's
+grid that ``eval`` writes its CSV from, and the only finiteness check of
+the fields.
+
+Memory: every check and oracle evaluates the fields one block of
+``LEVEL_BLOCK`` time levels at a time, so all of this module runs in
+O(nx * LEVEL_BLOCK) memory whatever nt is. Bits: the analytic and
+finite-difference PDE terms and the residual sum accumulate each term in
+place, in an array of the call's own (z, a jet entry, a field) once it is
+read for the last time, in the written order, so every term keeps the
+bits of its written formula.
 """
 
 import math
@@ -358,7 +373,8 @@ def orthonormality_matrix(family: RadialOscillatorFamily, s: int,
     rest of the call; each entry integrates the same floats as if it had
     evaluated its two states itself. On 61-point panels an n_max = 8
     Gram needs only a handful of node arrays. The half line is cut where
-    every state is below 1e-8, past their peak at any ell + s.
+    every state is below 1e-8, past their peak at any ell + s and no lower
+    than the outer turning point of u_{n_max}.
     """
     if not 0 <= n_max <= GRAM_MAX_DEGREE:
         raise ValueError(f"n_max must be in 0..{GRAM_MAX_DEGREE}, got {n_max}")
@@ -527,27 +543,43 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec) -> EvolveReport:
                         error_ratio=entries[0][2] / entries[1][2])
 
 
-def _check_x_min_jets(system: CdrSystem, x_min: float, z: float, roles,
-                      order: int):
-    """ValueError naming grid.x_min when the ``order`` jet of a state in
-    ``roles`` ("solution", "diffusion") is not finite at ``z``, the
-    smallest z a command evaluates, where q = omega z^2 / 2 is smallest:
-    u' divides by q and u'' by q^2. At z = 0 no jet is defined, so every
-    state fails there, unevaluated."""
-    q = 0.5 * system.family.omega * z * z
+def _check_x_min_jets(system: CdrSystem, grid: GridSpec, t_alpha: float,
+                      roles, order: int):
+    """The only check that names grid.x_min for a jet: ValueError when the
+    ``order`` jet of a state in
+    ``roles`` ("solution", "diffusion") is not finite at z = x_min /
+    ``t_alpha``, the smallest z a command evaluates (``t_alpha`` is the
+    largest t^alpha it divides x by), where q = omega z^2 / 2 is
+    smallest: u' divides by q and u'' by q^2. At z = 0 no jet is defined,
+    so every state fails there, unevaluated. When ``t_alpha`` is above 1
+    and the jet is not finite at x_max / ``t_alpha`` either, no x_min
+    below x_max mends it, and the error names grid.t_max and alpha."""
     jet, divides = (("first", "u' divides by q") if order == 1
                     else ("second", "u'' divides by q^2"))
+
+    def finite(state, z):
+        with np.errstate(all="ignore"):
+            return z > 0.0 and all(np.isfinite(state.jet(z, order)))
+
     for role in roles:
         state = system.y_state if role == "solution" else system.sigma_state
-        if z > 0.0:
-            with np.errstate(all="ignore"):
-                if all(np.isfinite(state.jet(z, order))):
-                    continue
+        z = grid.x_min / t_alpha
+        if finite(state, z):
+            continue
+        where = (f"the {jet}-order jet of the {role} state (n={state.n}, "
+                 f"s={state.s}) is not finite at z = ")
+        z_top = grid.x_max / t_alpha
+        if t_alpha > 1.0 and not finite(state, z_top):
+            raise ValueError(
+                f"config field 'grid.t_max' = {grid.t_max:g} is too large for "
+                f"alpha = {system.alpha:g}: {where}{z_top:g} = x_max / "
+                f"t_max^alpha, where q = omega z^2 / 2 is "
+                f"{0.5 * system.family.omega * z_top * z_top:g} and {divides}, "
+                "so no grid.x_min makes it finite")
         raise ValueError(
-            f"config field 'grid.x_min' = {x_min:g} is too small: the "
-            f"{jet}-order jet of the {role} state (n={state.n}, s={state.s}) "
-            f"is not finite at z = {z:g}, the smallest z evaluated, where "
-            f"q = omega z^2 / 2 is {q:g} and {divides}")
+            f"config field 'grid.x_min' = {grid.x_min:g} is too small: "
+            f"{where}{z:g}, the smallest z evaluated, where q = omega z^2 / 2 "
+            f"is {0.5 * system.family.omega * z * z:g} and {divides}")
 
 
 def grid_fields(system: CdrSystem, grid: GridSpec):
@@ -566,16 +598,16 @@ def grid_fields(system: CdrSystem, grid: GridSpec):
     reports them."""
     x, ts = grid.x_points(), grid.t_points()
     with np.errstate(over="ignore"):
-        t_alpha = ts[[0, -1]] ** system.alpha
-    for t, power in zip((grid.t_min, grid.t_max), t_alpha.tolist()):
+        powers = ts[[0, -1]] ** system.alpha
+    for t, power in zip((grid.t_min, grid.t_max), powers.tolist()):
         if not 0.0 < power < math.inf:
             raise ValueError(
                 f"config field 'alpha' = {system.alpha:g} is too large for t "
                 f"in [{grid.t_min:g}, {grid.t_max:g}]: t^alpha is {power:g} at "
                 f"t = {t:g}, where z = x / t^alpha must be finite and above 0")
-    z_min = grid.x_min / max(t_alpha.tolist())
-    if z_min == 0.0:
-        _check_x_min_jets(system, grid.x_min, z_min, ("diffusion",), 1)
+    t_alpha = max(powers.tolist())
+    if grid.x_min / t_alpha == 0.0:
+        _check_x_min_jets(system, grid, t_alpha, ("diffusion",), 1)
     bad = np.zeros(4, dtype=np.int64)
     for start in range(0, grid.nt, LEVEL_BLOCK):
         levels = ts[start:start + LEVEL_BLOCK]
@@ -588,11 +620,14 @@ def grid_fields(system: CdrSystem, grid: GridSpec):
         if not count:
             continue
         if name == "C":
-            _check_x_min_jets(system, grid.x_min, z_min, ("diffusion",), 1)
+            _check_x_min_jets(system, grid, t_alpha, ("diffusion",), 1)
         raise ValueError(
             f"field {name} is not finite at {count} of {grid.nx * grid.nt} "
             f"grid points for omega={system.family.omega:g}, "
-            f"ell={system.family.ell:g}, alpha={system.alpha:g}: the closed "
+            f"ell={system.family.ell:g}, alpha={system.alpha:g}, "
+            f"A={system.coeff_a:g}, B={system.coeff_b:g}, "
+            f"grid.x_min={grid.x_min:g}, grid.x_max={grid.x_max:g}, "
+            f"grid.t_min={grid.t_min:g}, grid.t_max={grid.t_max:g}: the closed "
             "form overflows there")
 
 
@@ -716,9 +751,8 @@ def run_suite(system: CdrSystem, grid: GridSpec, tolerances: dict,
     window = evolve_window(system, grid)
     # the Schroedinger and reduced-equation rows take the jets at the x
     # grid, the PDE row at z = x / t^alpha
-    z_min = min(grid.x_min, *(grid.x_min / t ** system.alpha
-                              for t in (grid.t_min, grid.t_max)))
-    _check_x_min_jets(system, grid.x_min, z_min, ("solution", "diffusion"), 2)
+    t_alpha = max(1.0, *(t ** system.alpha for t in (grid.t_min, grid.t_max)))
+    _check_x_min_jets(system, grid, t_alpha, ("solution", "diffusion"), 2)
     rows = []
     for key, label, run_oracle, field, tol_key in _VERIFY_ROWS:
         record = run_oracle(system, grid, window)

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -783,6 +784,24 @@ class TestGridFields:
                 "finite at z = 0,")):
             next(verify.grid_fields(fig1, GridSpec(x_min=5e-324)))
 
+    @pytest.mark.parametrize("t_max, message", [
+        # u'' is not finite at x_max / t_max^alpha = 8e-100 either
+        (1e100, "config field 'grid.t_max' = 1e+100 is too large for alpha = "
+                "1: the second-order jet of the solution state (n=3, s=1) is "
+                "not finite at z = 8e-100 = x_max / t_max^alpha, where q = "
+                "omega z^2 / 2 is 3.2e-199 and u'' divides by q^2, so no "
+                "grid.x_min makes it finite"),
+        # finite at 8e-60: a larger x_min mends it
+        (1e60, "config field 'grid.x_min' = 1e-100 is too small: the "
+               "second-order jet of the solution state (n=3, s=1) is not "
+               "finite at z = 1e-160, the smallest z evaluated,"),
+    ], ids=["t_max", "x_min"])
+    def test_jet_check_names_t_max_when_no_x_min_mends_it(self, fig1, t_max,
+                                                         message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify._check_x_min_jets(fig1, GridSpec(x_min=1e-100, t_max=t_max),
+                                     t_max, ("solution", "diffusion"), 2)
+
 def _per_level_evolve(system, x, t0, t1, nt):
     """CN solution and L2 error with one eval_fields call per time level."""
     dt = (t1 - t0) / nt
@@ -948,3 +967,18 @@ class TestGridSpec:
         assert grid.x_points()[0] == 1.0
         assert grid.x_points()[-1] == 2.0
         np.testing.assert_allclose(grid.t_points(), [1.0, 2.0, 3.0])
+
+
+def test_readme_lists_every_verify_row():
+    rows, named = [], set()
+    for key, label, _, field, tol in verify._VERIFY_ROWS:
+        keys = tol if isinstance(tol, tuple) else (tol,)
+        named.update(keys)
+        rows.append(
+            f"| {label} | `{key}` | {f'`{field}`' if field else 'the record'}"
+            f" | {', '.join(f'`{k}`' for k in keys)} | "
+            f"{', '.join(f'{verify.DEFAULT_TOLERANCES[k]:g}' for k in keys)} |")
+    # every default is some row's bound
+    assert named == set(verify.DEFAULT_TOLERANCES)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert "\n".join(rows) + "\n\n" in readme
