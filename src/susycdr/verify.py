@@ -546,14 +546,14 @@ def evolve_oracle(system: CdrSystem, grid: GridSpec) -> EvolveReport:
 def _check_x_min_jets(system: CdrSystem, grid: GridSpec, t_alpha: float,
                       roles, order: int):
     """The only check that names grid.x_min for a jet: ValueError when the
-    ``order`` jet of a state in
-    ``roles`` ("solution", "diffusion") is not finite at z = x_min /
-    ``t_alpha``, the smallest z a command evaluates (``t_alpha`` is the
-    largest t^alpha it divides x by), where q = omega z^2 / 2 is
-    smallest: u' divides by q and u'' by q^2. At z = 0 no jet is defined,
-    so every state fails there, unevaluated. When ``t_alpha`` is above 1
-    and the jet is not finite at x_max / ``t_alpha`` either, no x_min
-    below x_max mends it, and the error names grid.t_max and alpha."""
+    ``order`` jet of a state in ``roles`` ("solution", "diffusion") is not
+    finite at z = x_min / ``t_alpha``, the smallest z a command evaluates
+    (``t_alpha`` is the largest t^alpha it divides x by), where
+    q = omega z^2 / 2 is smallest: u' divides by q and u'' by q^2. At
+    z = 0 no jet is defined, so every state fails there, unevaluated.
+    When ``t_alpha`` is above 1 and the jet is not finite at x_max /
+    ``t_alpha`` either, no x_min below x_max mends it, and the error names
+    grid.t_max and alpha instead."""
     jet, divides = (("first", "u' divides by q") if order == 1
                     else ("second", "u'' divides by q^2"))
 
@@ -561,14 +561,13 @@ def _check_x_min_jets(system: CdrSystem, grid: GridSpec, t_alpha: float,
         with np.errstate(all="ignore"):
             return z > 0.0 and all(np.isfinite(state.jet(z, order)))
 
+    z, z_top = grid.x_min / t_alpha, grid.x_max / t_alpha
     for role in roles:
         state = system.y_state if role == "solution" else system.sigma_state
-        z = grid.x_min / t_alpha
         if finite(state, z):
             continue
         where = (f"the {jet}-order jet of the {role} state (n={state.n}, "
                  f"s={state.s}) is not finite at z = ")
-        z_top = grid.x_max / t_alpha
         if t_alpha > 1.0 and not finite(state, z_top):
             raise ValueError(
                 f"config field 'grid.t_max' = {grid.t_max:g} is too large for "
