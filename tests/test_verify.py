@@ -802,6 +802,7 @@ class TestGridFields:
             verify._check_x_min_jets(fig1, GridSpec(x_min=1e-100, t_max=t_max),
                                      t_max, ("solution", "diffusion"), 2)
 
+
 def _per_level_evolve(system, x, t0, t1, nt):
     """CN solution and L2 error with one eval_fields call per time level."""
     dt = (t1 - t0) / nt
